@@ -43,11 +43,20 @@ def content_digest(name: str, size: float,
     the same materialized bytes (or both none), and the same corruption
     history. The pristine publish-time digest uses ``marks=()``.
     """
+    return _with_marks(_identity_state(name, size, content), marks)
+
+
+def _identity_state(name: str, size: float, content: Optional[bytes]):
+    """blake2s state over a file's name, size and bytes (no marks)."""
     h = hashlib.blake2s(digest_size=8)
     h.update(name.encode())
     h.update(f"|{size:.0f}|".encode())
     if content is not None:
         h.update(content)
+    return h
+
+
+def _with_marks(h, marks: Tuple[str, ...]) -> str:
     for mark in marks:
         h.update(b"\x00")
         h.update(str(mark).encode())
@@ -70,6 +79,14 @@ def is_pristine(file) -> bool:
 
 
 def file_digest(file) -> str:
-    """Digest of a stored :class:`FileObject` as it currently is."""
-    return content_digest(file.name, file.size, file.content,
-                          marks_of(file))
+    """Digest of a stored :class:`FileObject` as it currently is.
+
+    The hash over name, size and content is computed once per file and
+    kept on the object (those fields are never reassigned); each call
+    extends a copy of it with the file's current integrity marks.
+    """
+    state = file._digest_state
+    if state is None:
+        state = file._digest_state = _identity_state(
+            file.name, file.size, file.content)
+    return _with_marks(state.copy(), marks_of(file))

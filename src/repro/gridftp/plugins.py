@@ -13,13 +13,12 @@ These plug-ins give GridFTP servers exactly that: SDBF-aware
 extraction, subsetting, and time reduction executed at the data, so
 only the derived product crosses the WAN.
 
-Each standard plug-in returns ``(derived_size, derived_content,
-bytes_decoded)`` — the third element is how many source bytes it had
-to turn into arrays, which the server charges as decode CPU time.
-Chunked SDBF files (``repro.data.ncformat`` version 2) are served by
-decoding only the chunks the request touches; flat files decode whole.
-User plug-ins may still return plain 2-tuples; the server then charges
-a whole-file decode.
+Every plug-in, standard or user-written, returns ``(derived_size,
+derived_content, bytes_decoded)`` — the third element is how many
+source bytes it had to turn into arrays, which the server charges as
+decode CPU time. Chunked SDBF files (``repro.data.ncformat`` version 2)
+are served by decoding only the chunks the request touches; flat files
+decode whole.
 
 A plug-in may also carry a ``stage_prefix(file, args)`` attribute: the
 byte prefix of the file that suffices to serve the request (``None``
@@ -232,12 +231,12 @@ def _planned_bounds(reader: SdbfReader, variable: str,
 def _subset_stage_prefix(file: FileObject, args: dict) -> Optional[float]:
     """Byte prefix that covers a subset request (None = whole file)."""
     try:
-        reader = SdbfReader(file.content)
+        reader = _require_reader(file)
         variable = args.get("variable")
         ranges = {k: tuple(v) for k, v in args.items() if k != "variable"}
         bounds = _planned_bounds(reader, variable, ranges)
         return reader.needed_prefix(variable, bounds)
-    except Exception:
+    except (FormatError, PluginError):
         return None
 
 
@@ -245,12 +244,12 @@ def _variable_stage_prefix(file: FileObject,
                            args: dict) -> Optional[float]:
     """Byte prefix covering one whole variable (extract / time_mean)."""
     try:
-        reader = SdbfReader(file.content)
+        reader = _require_reader(file)
         variable = args.get("variable")
         shape = tuple(reader.variable_meta(variable)["shape"])
         bounds = [(0, s - 1) for s in shape]
         return reader.needed_prefix(variable, bounds)
-    except Exception:
+    except (FormatError, PluginError):
         return None
 
 

@@ -26,14 +26,14 @@ from repro.sim.core import Environment
 from repro.storage.filesystem import FileObject, FileSystem
 from repro.storage.hrm import HierarchicalResourceManager, StagingError
 
-# An ERET plugin: (file, args) -> (derived_size, derived_content|None)
-# or (derived_size, derived_content|None, bytes_decoded). The optional
-# third element is how many source bytes the plug-in decoded; 2-tuple
-# plug-ins are charged a whole-file decode. A plug-in may also carry a
+# An ERET plugin: (file, args) -> (derived_size, derived_content|None,
+# bytes_decoded), the last being how many source bytes the plug-in
+# decoded (charged at ``eret_rate``). A plug-in may also carry a
 # ``stage_prefix(file, args) -> Optional[float]`` attribute naming the
 # byte prefix that suffices to serve the request (used for tape
 # staging cut-through).
-EretPlugin = Callable[[FileObject, dict], tuple]
+EretPlugin = Callable[[FileObject, dict],
+                      Tuple[float, Optional[bytes], float]]
 
 
 class GridFtpServer:
@@ -392,12 +392,7 @@ class GridFtpServer:
         file, action = yield from self._materialize(path, None,
                                                     prefix_bytes=prefix)
         try:
-            result = plugin(file, args)
-            if len(result) >= 3:
-                size, content, decoded = result[0], result[1], result[2]
-            else:
-                size, content = result
-                decoded = float(file.size)
+            size, content, decoded = plugin(file, args)
             if size < 0:
                 raise GridFtpError(FtpReply(
                     SYNTAX_ERROR, f"plugin {eret!r} returned bad size"))

@@ -78,6 +78,9 @@ class DirectoryServer:
         self.scan_cost = scan_cost
         self._entries: Dict[DN, Entry] = {}
         self._children: Dict[DN, set] = {}
+        # parent -> children sorted by DN text; built on first use,
+        # dropped whenever add/delete changes that parent's children
+        self._sorted: Dict[DN, List[Entry]] = {}
         self.operations = 0  # instrumentation
         self.entries_scanned = 0
         self._outages: List[tuple] = []  # (start, end, mode)
@@ -139,6 +142,7 @@ class DirectoryServer:
         self._children.setdefault(dn, set())
         if parent is not None:
             self._children[parent].add(dn)
+            self._sorted.pop(parent, None)
         return entry
 
     def modify(self, dn: Union[str, DN], replace: Optional[Dict] = None,
@@ -170,9 +174,11 @@ class DirectoryServer:
             self.delete(kid, recursive=True)
         del self._entries[dn]
         del self._children[dn]
+        self._sorted.pop(dn, None)
         parent = dn.parent
         if parent is not None and parent in self._children:
             self._children[parent].discard(dn)
+            self._sorted.pop(parent, None)
 
     def lookup(self, dn: Union[str, DN]) -> Entry:
         """Fetch one entry by DN."""
@@ -191,8 +197,14 @@ class DirectoryServer:
         dn = DN.of(dn)
         if dn not in self._entries:
             raise DirectoryError(f"{self.name}: no entry {dn}")
-        return [self._entries[c] for c in sorted(
-            self._children[dn], key=lambda d: str(d))]
+        return list(self._sorted_children(dn))
+
+    def _sorted_children(self, dn: DN) -> List[Entry]:
+        kids = self._sorted.get(dn)
+        if kids is None:
+            kids = self._sorted[dn] = [
+                self._entries[c] for c in sorted(self._children[dn], key=str)]
+        return kids
 
     def search(self, base: Union[str, DN], scope: Scope = Scope.SUBTREE,
                filter_text: str = "(objectclass=*)") -> List[Entry]:
@@ -209,7 +221,7 @@ class DirectoryServer:
         if scope is Scope.BASE:
             return [self._entries[base]]
         if scope is Scope.ONELEVEL:
-            return self.children(base)
+            return self._sorted_children(base)
         out = [self._entries[base]]
         stack = list(self._children[base])
         while stack:
@@ -225,11 +237,19 @@ class DirectoryServer:
         self.operations += 1
         yield from self._outage_gate()
         base = DN.of(base)
-        n_candidates = (len(self._candidates(base, scope))
-                        if base in self._entries else 0)
         yield self.env.timeout(self.base_latency
-                               + self.scan_cost * n_candidates)
+                               + self.scan_cost * self._scan_count(base, scope))
         return self.search(base, scope, filter_text)
+
+    def _scan_count(self, base: DN, scope: Scope) -> int:
+        """How many entries a search of ``base`` at ``scope`` examines."""
+        if base not in self._entries:
+            return 0
+        if scope is Scope.BASE:
+            return 1
+        if scope is Scope.ONELEVEL:
+            return len(self._children[base])
+        return len(self._candidates(base, scope))
 
     def read(self, dn: Union[str, DN]):
         """Simulation process: a single-entry lookup costing latency."""

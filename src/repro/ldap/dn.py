@@ -18,7 +18,7 @@ class DnError(ValueError):
 class DN:
     """An immutable, normalized distinguished name."""
 
-    __slots__ = ("rdns", "_norm")
+    __slots__ = ("rdns", "_norm", "_text")
 
     def __init__(self, rdns: Iterable[Tuple[str, str]]):
         rdns = tuple((str(a), str(v)) for a, v in rdns)
@@ -30,7 +30,10 @@ class DN:
             if "," in value or "=" in value:
                 raise DnError(f"unescaped special character in {value!r}")
         self.rdns = tuple((a.strip().lower(), v.strip()) for a, v in rdns)
-        self._norm = ",".join(f"{a}={v.lower()}" for a, v in self.rdns)
+        self._text = ",".join(f"{a}={v}" for a, v in self.rdns)
+        # attribute names are already lower-case, so this lower-cases
+        # exactly the values
+        self._norm = self._text.lower()
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -98,7 +101,7 @@ class DN:
         return len(self.rdns)
 
     def __str__(self) -> str:
-        return ",".join(f"{a}={v}" for a, v in self.rdns)
+        return self._text
 
     def __repr__(self) -> str:
         return f"DN({str(self)!r})"

@@ -36,6 +36,11 @@ class FileObject:
     ``content`` is optional real bytes (used by the analysis pipeline);
     when absent the file is synthetic and only ``size`` matters. ``size``
     always wins for accounting, so a 2 GB synthetic file costs no RAM.
+
+    ``name``, ``size`` and ``content`` must not be reassigned after
+    construction: :func:`repro.data.digest.file_digest` memoizes the
+    hash state over them in ``_digest_state``. Changing what a file
+    holds means storing a new ``FileObject``.
     """
 
     name: str
@@ -44,6 +49,7 @@ class FileObject:
     created_at: float = 0.0
     metadata: Dict[str, object] = field(default_factory=dict)
     _serial: int = field(default_factory=itertools.count(1).__next__)
+    _digest_state: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:

@@ -30,7 +30,8 @@ def test_connect_unknown_server(grid):
 
 
 def test_feat_lists_extensions(grid):
-    grid.server.register_plugin("subset", lambda f, a: (f.size, f.content))
+    grid.server.register_plugin("subset", lambda f, a: (f.size, f.content,
+                                                       float(f.size)))
 
     def main():
         session = yield from grid.client.connect(grid.client_host,
@@ -129,7 +130,8 @@ def test_eret_plugin_reduces_bytes(grid):
     payload = b"x" * 1000
     grid.server_fs.create("big.nc", 1000, content=payload)
     grid.server.register_plugin(
-        "subset", lambda f, args: (args["n"], f.content[:args["n"]]))
+        "subset", lambda f, args: (args["n"], f.content[:args["n"]],
+                                   float(f.size)))
 
     def main():
         session = yield from grid.client.connect(grid.client_host,

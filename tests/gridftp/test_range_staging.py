@@ -139,3 +139,19 @@ def test_eret_range_staging_flag_validated():
         GridFtpServer(env, host, fs, eret_rate=0.0)
     with pytest.raises(ValueError):
         GridFtpServer(env, host, fs, derived_cache_bytes=-1.0)
+
+
+def test_planner_bug_fails_the_request(monkeypatch):
+    """Only format/plug-in errors fall back to a full stage; a
+    programming error in the planner must surface, not be hidden."""
+    from repro.data.ncformat import SdbfReader
+
+    def broken(self, name, bounds):
+        raise TypeError("planner bug")
+
+    monkeypatch.setattr(SdbfReader, "needed_prefix", broken)
+    grid, mss, run = tape_grid(chunks={"time": 1, "lat": 64, "lon": 128})
+    with pytest.raises(TypeError, match="planner bug"):
+        early_subset(grid, run)
+    assert grid.server.eret_range_staged == 0
+    assert not mss.cache.is_pinned("year.nc")
