@@ -288,7 +288,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    from repro.replica import FederatedReplicaCatalog
+    from repro.ldap.directory import DirectoryUnavailable
+    from repro.replica import FederatedReplicaCatalog, ReplicaError
     from repro.sim.core import Environment
 
     env = Environment(seed=args.seed)
@@ -323,7 +324,7 @@ def _cmd_catalog(args) -> int:
             name = f"{coll}.nc{(i * 7) % args.files:04d}"
             try:
                 yield from fed.find_replicas(coll, name)
-            except Exception as exc:
+            except (DirectoryUnavailable, ReplicaError) as exc:
                 lost[0] += 1
                 print(f"t={env.now:6.1f}s  {name}: LOST ({exc})")
             yield env.timeout(1.0)
@@ -360,7 +361,7 @@ def _cmd_catalog(args) -> int:
     print("breakers      " + "  ".join(
         f"{site}={state}"
         for site, state in sorted(stats["breakers"].items())))
-    return 0
+    return 1 if lost[0] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -97,7 +97,7 @@ class EarthSystemGrid:
         arch.register("fabric", "networks", tb.network)
         arch.register("fabric", "metadata-catalog", tb.metadata_catalog)
         arch.register("fabric", "replica-catalog-store",
-                      tb.replica_catalog.directory)
+                      list(tb.catalog_stores.values()))
         arch.register("connectivity", "transport", tb.transport)
         arch.register("connectivity", "dns", tb.dns)
         arch.register("connectivity", "gsi", tb.gsi)

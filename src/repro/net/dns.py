@@ -68,12 +68,5 @@ class NameService:
             raise DnsError(f"unknown host {hostname!r}")
         return node
 
-    def resolve_now(self, hostname: str) -> str:
-        """Zero-latency resolution for setup code (not a process)."""
-        node = self._records.get(hostname)
-        if node is None:
-            raise DnsError(f"unknown host {hostname!r}")
-        return node
-
     def __contains__(self, hostname: str) -> bool:
         return hostname in self._records

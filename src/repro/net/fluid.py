@@ -570,12 +570,6 @@ class FluidNetwork:
         self._flush_now()
         return tuple(link._flows)
 
-    @property
-    def aggregate_rate(self) -> float:
-        """Sum of all current flow rates (bytes/s)."""
-        self._flush_now()
-        return sum(f.rate for f in self._flow_map.values())
-
     def link_load(self) -> Dict[str, float]:
         """Per-link carried load (bytes/s) — the cheap probe form.
 

@@ -55,6 +55,10 @@ from repro.rm.resilience import CircuitBreaker
 from repro.sim.core import Environment
 
 
+# Points each site contributes to the hash ring.
+_VNODES = 64
+
+
 def _h(text: str) -> int:
     """Deterministic 32-bit hash (no PYTHONHASHSEED dependence)."""
     return zlib.crc32(text.encode("utf-8"))
@@ -63,7 +67,7 @@ def _h(text: str) -> int:
 class ShardRouter:
     """Consistent-hash placement of collections onto catalog sites.
 
-    Each site contributes ``vnodes`` points on a 32-bit ring; a
+    Each site contributes 64 points on a 32-bit ring; a
     collection's *home* is the owner of the first point at or after the
     collection's hash, and its *preference list* is the home plus the
     next ``replicas - 1`` distinct sites clockwise. Routing is total
@@ -73,8 +77,7 @@ class ShardRouter:
     lives where the instrument is".
     """
 
-    def __init__(self, sites: Iterable[str], replicas: int = 2,
-                 vnodes: int = 64):
+    def __init__(self, sites: Iterable[str], replicas: int = 2):
         self.sites = list(sites)
         if not self.sites:
             raise ValueError("need at least one site")
@@ -82,14 +85,11 @@ class ShardRouter:
             raise ValueError("duplicate site names")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         self.replicas = min(replicas, len(self.sites))
-        self.vnodes = vnodes
         self._pins: Dict[str, str] = {}
         ring = []
         for site in self.sites:
-            for v in range(vnodes):
+            for v in range(_VNODES):
                 ring.append((_h(f"{site}#{v}"), site))
         # hash ties broken by site name: deterministic everywhere
         self._ring = sorted(ring)
@@ -132,7 +132,7 @@ class ShardRouter:
 
     def __repr__(self) -> str:
         return (f"ShardRouter({len(self.sites)} sites, "
-                f"replicas={self.replicas}, vnodes={self.vnodes})")
+                f"replicas={self.replicas})")
 
 
 @dataclass
@@ -180,14 +180,11 @@ class FederatedReplicaCatalog:
         request manager's verify-on-open + :meth:`demote` tolerate.
     obs:
         Optional :class:`~repro.obs.Observability` bundle.
-    base_latency:
-        Per-operation cost of each shard's directory server.
     """
 
     def __init__(self, env: Environment, sites: Iterable[str],
                  name: str = "esg", replication: int = 2,
                  sync_interval: float = 30.0, cache_ttl: float = 0.0,
-                 vnodes: int = 64, base_latency: float = 0.005,
                  obs=None, breaker_failure_threshold: int = 3,
                  breaker_reset_timeout: float = 60.0):
         if sync_interval <= 0:
@@ -199,12 +196,10 @@ class FederatedReplicaCatalog:
         self.sync_interval = sync_interval
         self.cache_ttl = cache_ttl
         self.obs = obs
-        self.router = ShardRouter(sites, replicas=replication,
-                                  vnodes=vnodes)
+        self.router = ShardRouter(sites, replicas=replication)
         self.sites: Dict[str, SiteCatalog] = {}
         for site in self.router.sites:
-            directory = DirectoryServer(env, f"rc-{name}-{site}",
-                                        base_latency=base_latency)
+            directory = DirectoryServer(env, f"rc-{name}-{site}")
             self.sites[site] = SiteCatalog(
                 site, ReplicaCatalog(env, directory=directory, name=name),
                 directory)

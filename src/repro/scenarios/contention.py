@@ -32,6 +32,20 @@ from repro.rm.resilience import ResiliencePolicy, RetryPolicy
 from repro.rm.scheduler import SchedulerConfig
 from repro.scenarios.esg import EsgTestbed
 
+# The workload: every BULK_EVERY-th ticket asks for BULK_FILES files of
+# FILE_SIZE bytes, the rest for one.
+BULK_EVERY = 4
+BULK_FILES = 6
+FILE_SIZE = 4 * 2**20
+# Both configurations: GridFTP streams per transfer, and the servers'
+# connection cap (421 beyond it).
+PARALLELISM = 4
+MAX_SERVER_CONNECTIONS = 24
+# The scheduled configuration's SchedulerConfig.
+PER_SERVER_CAP = 20
+AGING_ROUNDS = 64
+STREAM_BUDGET = 32
+
 
 @dataclass
 class ContentionResult:
@@ -69,18 +83,10 @@ def percentile(values: List[float], pct: float) -> float:
 
 
 def run_contention(n_tickets: int = 16, *, scheduled: bool = True,
-                   seed: int = 0, n_users: int = 8,
-                   bulk_every: int = 4, bulk_files: int = 6,
-                   file_size: float = 4 * 2**20,
-                   per_server_cap: int = 20,
-                   queue_depth: Optional[int] = None,
-                   aging_rounds: int = 64,
-                   stream_budget: Optional[int] = 32,
-                   max_server_connections: int = 24,
-                   parallelism: int = 4) -> ContentionResult:
+                   seed: int = 0, n_users: int = 8) -> ContentionResult:
     """Run ``n_tickets`` mixed tickets through the testbed.
 
-    Every ``bulk_every``-th ticket is a bulk one (``bulk_files`` files);
+    Every ``BULK_EVERY``-th ticket is a bulk one (``BULK_FILES`` files);
     the rest request a single file.  Tickets are round-robined across
     ``n_users`` user desktops plus the built-in client.  Both
     configurations get the same seed, workload, server-side connection
@@ -89,27 +95,23 @@ def run_contention(n_tickets: int = 16, *, scheduled: bool = True,
     """
     sched_cfg = None
     if scheduled:
-        # Deep queues by default: priority classes + DRR do the
-        # ordering. Pass a shallow ``queue_depth`` to exercise the
-        # QueueFull/spill-to-next-replica path instead.
-        depth = (queue_depth if queue_depth is not None
-                 else max(128, 4 * n_tickets * bulk_files))
+        # Deep queues: priority classes + DRR do the ordering.
         sched_cfg = SchedulerConfig(
-            per_server_cap=per_server_cap,
-            max_queue_depth=depth,
-            aging_rounds=aging_rounds,
-            stream_budget=stream_budget)
+            per_server_cap=PER_SERVER_CAP,
+            max_queue_depth=max(128, 4 * n_tickets * BULK_FILES),
+            aging_rounds=AGING_ROUNDS,
+            stream_budget=STREAM_BUDGET)
     # Stock backoff curve, but patient: the unscheduled stampede needs
     # many rounds to drain its own 421s, and breakers must not convert
     # overload into permanent failures.
     resilience = ResiliencePolicy(retry=RetryPolicy(max_rounds=20),
                                   breaker_failure_threshold=50)
     tb = EsgTestbed(seed=seed, with_tape=False,
-                    file_size_override=file_size,
-                    config=GridFtpConfig(parallelism=parallelism),
+                    file_size_override=FILE_SIZE,
+                    config=GridFtpConfig(parallelism=PARALLELISM),
                     resilience=resilience,
                     scheduler=sched_cfg,
-                    max_server_connections=max_server_connections,
+                    max_server_connections=MAX_SERVER_CONNECTIONS,
                     log_capacity=10_000)
     rms = [tb.request_manager]
     for i in range(n_users - 1):
@@ -123,7 +125,7 @@ def run_contention(n_tickets: int = 16, *, scheduled: bool = True,
     plans = []
     cursor = 0
     for t in range(n_tickets):
-        count = bulk_files if (t + 1) % bulk_every == 0 else 1
+        count = BULK_FILES if (t + 1) % BULK_EVERY == 0 else 1
         wanted = [catalog[(cursor + j) % len(catalog)]
                   for j in range(count)]
         cursor += count

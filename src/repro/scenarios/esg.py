@@ -30,6 +30,7 @@ from repro.gsi.credentials import CertificateAuthority, Identity, TrustAnchors
 from repro.hosts.cpu import CpuModel
 from repro.hosts.disk import DiskArray, DiskSpec
 from repro.hosts.host import Host, HostSpec
+from repro.ldap.directory import DirectoryServer
 from repro.mds.service import MdsService
 from repro.metadata.catalog import MetadataCatalog, VariableRecord
 from repro.net.dns import NameService
@@ -94,6 +95,12 @@ _SITES: List[Tuple[str, float, float]] = [
     ("llnl", 0.019, mbps(155)),
 ]
 
+# NWS probe period, seconds.
+_NWS_PERIOD = 30.0
+# Federated catalog shards holding each collection: the home shard
+# (write master) plus one read replica.
+_CATALOG_REPLICATION = 2
+
 
 class EsgTestbed:
     """The full prototype stack on one simulated WAN.
@@ -106,28 +113,21 @@ class EsgTestbed:
         Years of synthetic model output in the archive.
     grid:
         Resolution of the synthetic output (sets file sizes).
-    nws_period:
-        NWS probe period in seconds.
     with_tape:
         Whether LBNL-PDSF data is tape-resident behind the HRM.
     materialize:
         When True, files carry real SDBF bytes (analysis/visualization
         experiments); when False they are size-only (bulk transfer
         experiments at any scale without the RAM).
-    replicated_catalog:
-        Back the replica catalog with a primary + two read replicas
-        (§6.2's "distribution and replication of the catalog"), with a
-        30 s sync period.
     catalog_sites:
         When set, replace the single replica catalog with a
         :class:`~repro.replica.federation.FederatedReplicaCatalog`
-        sharded across the first ``catalog_sites`` testbed sites
-        (mutually exclusive with ``replicated_catalog``). Collections
-        are consistent-hash-placed; lookups fan out and tolerate shard
-        outages with partial answers.
-    catalog_replication:
-        Shards holding each collection in the federated catalog
-        (home + ``catalog_replication - 1`` async replicas).
+        sharded across the first ``catalog_sites`` testbed sites.
+        Collections are consistent-hash-placed on a home shard (the
+        write master) and replicated asynchronously to one peer (a
+        read replica); lookups fan out and tolerate shard outages with
+        partial answers. ``catalog_sites=2`` is §6.2's "distribution
+        and replication of the catalog": a primary plus a read replica.
     catalog_sync_interval:
         Async replication period between federation shards, seconds
         (the bounded staleness window).
@@ -182,11 +182,9 @@ class EsgTestbed:
 
     def __init__(self, seed: int = 0, years: int = 1,
                  grid: Optional[GridSpec] = None,
-                 nws_period: float = 30.0, with_tape: bool = True,
+                 with_tape: bool = True,
                  materialize: bool = False,
-                 replicated_catalog: bool = False,
                  catalog_sites: Optional[int] = None,
-                 catalog_replication: int = 2,
                  catalog_sync_interval: float = 30.0,
                  catalog_cache_ttl: float = 0.0,
                  file_size_override: Optional[float] = None,
@@ -281,25 +279,8 @@ class EsgTestbed:
         self.client_fs = FileSystem(env, "client-fs")
 
         # -- grid services
-        if replicated_catalog and catalog_sites is not None:
-            raise ValueError("replicated_catalog and catalog_sites "
-                             "conflict: pick one catalog architecture")
         self.federation = None
-        if replicated_catalog:
-            from repro.ldap.directory import DirectoryServer
-            from repro.ldap.replicated import ReplicatedDirectory
-            primary = DirectoryServer(env, "rc-esg-primary",
-                                      base_latency=0.005)
-            read_replicas = [
-                DirectoryServer(env, f"rc-esg-replica{i}",
-                                base_latency=0.002)
-                for i in range(2)]
-            self.catalog_directory = ReplicatedDirectory(
-                env, primary, read_replicas, sync_interval=30.0)
-            self.catalog_directory.start()
-            self.replica_catalog = ReplicaCatalog(
-                env, directory=self.catalog_directory, name="esg")
-        elif catalog_sites is not None:
+        if catalog_sites is not None:
             from repro.replica.federation import FederatedReplicaCatalog
             if not 1 <= catalog_sites <= len(_SITES):
                 raise ValueError(f"catalog_sites must be in "
@@ -307,14 +288,12 @@ class EsgTestbed:
             shard_sites = [name for name, _, _ in _SITES][:catalog_sites]
             self.federation = FederatedReplicaCatalog(
                 env, shard_sites, name="esg",
-                replication=catalog_replication,
+                replication=_CATALOG_REPLICATION,
                 sync_interval=catalog_sync_interval,
                 cache_ttl=catalog_cache_ttl, obs=self.obs)
             self.federation.start()
-            self.catalog_directory = None
             self.replica_catalog = self.federation
         else:
-            self.catalog_directory = None
             self.replica_catalog = ReplicaCatalog(env, name="esg")
         self.metadata_catalog = MetadataCatalog(env, name="pcmdi")
         self.mds = MdsService(env, name="esg")
@@ -362,7 +341,7 @@ class EsgTestbed:
         self._populate(years)
         for site in self.sites.values():
             self.nws.monitor(site.host.node, self.client_host.node,
-                             period=nws_period)
+                             period=_NWS_PERIOD)
 
     # -- archive population ---------------------------------------------------
     def _populate(self, years: int) -> None:
@@ -627,29 +606,37 @@ class EsgTestbed:
         return servers, client
 
     # -- fault injection ---------------------------------------------------------
+    @property
+    def catalog_stores(self) -> Dict[str, DirectoryServer]:
+        """Site -> directory server backing the replica catalog: one per
+        federation shard, or ANL's single catalog directory."""
+        if self.federation is None:
+            return {"anl": self.replica_catalog.directory}
+        return {name: shard.directory
+                for name, shard in self.federation.sites.items()}
+
     def fault_injector(self, crashables: Optional[Dict] = None):
         """A :class:`~repro.net.faults.FaultInjector` wired to everything.
 
         Knows the testbed's links, DNS, GridFTP servers (by hostname),
-        the "catalog" and "mds" directories, and every HRM (by name) —
+        the "mds" directory, the "catalog" (whole) and each
+        "catalog:<site>" store, and every HRM (by name) —
         so any fault kind a :class:`~repro.net.faults.FaultSchedule` can
         express is injectable against this testbed. ``crashables``
         optionally maps label → an object with ``crash()``/``restart()``
         for "rm" faults (e.g. a replication campaign engine).
         """
         from repro.net.faults import FaultInjector
-        if self.federation is not None:
-            # "catalog" takes every shard down at once; "catalog:<site>"
-            # targets one shard, degrading queries to partial answers.
-            directories = {"mds": self.mds.directory,
-                           "catalog": self.federation}
-            for sname, shard in self.federation.sites.items():
-                directories[f"catalog:{sname}"] = shard.directory
-        else:
-            directories = {"mds": self.mds.directory,
-                           "catalog": (self.catalog_directory
-                                       if self.catalog_directory is not None
-                                       else self.replica_catalog.directory)}
+        stores = self.catalog_stores
+        # "catalog" takes the whole catalog down (every shard at once);
+        # "catalog:<site>" targets one shard, degrading queries to
+        # partial answers.
+        directories = {"mds": self.mds.directory,
+                       "catalog": (self.federation
+                                   if self.federation is not None
+                                   else stores["anl"])}
+        for sname, directory in stores.items():
+            directories[f"catalog:{sname}"] = directory
         hrms = {site.hrm.name: site.hrm
                 for site in self.sites.values() if site.hrm is not None}
         return FaultInjector(self.env, self.network, self.dns,

@@ -142,3 +142,43 @@ def test_report_command_detects_injected_corruption(capsys):
     out = capsys.readouterr().out
     assert "destination-digest-mismatch" in out
     assert "DISCREPANT" in out
+
+
+def test_catalog_command(capsys):
+    assert main(["catalog", "--lookups", "24"]) == 0
+    out = capsys.readouterr().out
+    assert "lookups_lost         0" in out
+    assert "LOST" not in out
+
+
+def test_catalog_command_surfaces_programming_errors(monkeypatch, capsys):
+    from repro.replica import FederatedReplicaCatalog
+
+    def broken(self, collection, logical_file):
+        raise TypeError("bug in the lookup path")
+        yield
+
+    monkeypatch.setattr(FederatedReplicaCatalog, "find_replicas", broken)
+    with pytest.raises(TypeError):
+        main(["catalog", "--lookups", "24"])
+    assert "LOST" not in capsys.readouterr().out
+
+
+def test_catalog_command_fails_on_lost_lookups(monkeypatch, capsys):
+    from repro.ldap.directory import DirectoryUnavailable
+    from repro.replica import FederatedReplicaCatalog
+
+    real = FederatedReplicaCatalog.find_replicas
+    calls = []
+
+    def flaky(self, collection, logical_file):
+        calls.append(logical_file)
+        if len(calls) == 1:
+            raise DirectoryUnavailable("every shard down")
+        return (yield from real(self, collection, logical_file))
+
+    monkeypatch.setattr(FederatedReplicaCatalog, "find_replicas", flaky)
+    assert main(["catalog", "--lookups", "24"]) == 1
+    out = capsys.readouterr().out
+    assert "LOST" in out
+    assert "lookups_lost         1" in out

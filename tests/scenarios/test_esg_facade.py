@@ -120,21 +120,32 @@ def test_layer_registry_unregistered_dependency():
     assert "unregistered" in arch.check_dependencies()[0]
 
 
-def test_replicated_catalog_option():
-    """§6.2: the testbed can run its replica catalog on a replicated
-    directory; catalog reads survive losing the primary."""
-    tb = small_esg(replicated_catalog=True)
+def test_federated_primary_replica_catalog():
+    """§6.2: with two catalog sites every collection lives on its home
+    shard (the write master) and one read replica; requests still
+    complete with the home shard down."""
+    tb = small_esg(catalog_sites=2)
     tb.warm_nws(60.0)
-    rd = tb.catalog_directory
-    assert rd is not None
-    assert rd.syncs >= 1
+    fed = tb.federation
+    assert fed.syncs >= 1
+    assert fed.lag == 0
     ds = tb.dataset_ids()[0]
     name = tb.metadata_catalog.resolve(ds, "tas")[0]
-    # Reads keep working with the primary marked down.
-    rd.health = lambda server: server is not rd.primary
+    fed.sites[fed.router.home(ds)].directory.add_outage(
+        start=tb.env.now, duration=3600.0)
     ticket = tb.request_manager.submit([(ds, name)])
     tb.env.run(until=ticket.done)
     assert ticket.complete and not ticket.failed_files
+    assert fed.partial_queries >= 1
+
+
+def test_facade_builds_on_federated_catalog():
+    tb = small_esg(catalog_sites=2)
+    esg = EarthSystemGrid(tb)
+    stores = dict(esg.layers.components["fabric"])["replica-catalog-store"]
+    assert stores == [shard.directory
+                      for shard in tb.federation.sites.values()]
+    assert esg.layers.check_dependencies() == []
 
 
 def test_add_client_attaches_independent_user_site():
