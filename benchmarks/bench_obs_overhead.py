@@ -2,9 +2,10 @@
 
 The tentpole claim for ``repro.obs``: wiring metrics + tracing + ULM
 events through the hot transfer path costs < 5% wall time on the
-Table 1 schedule. Every emit helper is a plain function call guarded by
-one ``is not None`` check, and spans/counters do no simulation yields,
-so the schedule's event count is identical with and without the bundle.
+Table 1 schedule. Components always hold a bundle; the bare run's is
+the off ``Observability()``, whose helpers each check their own leg and
+return. Spans/counters do no simulation yields, so the schedule's event
+count is identical with and without the wired bundle.
 
 Measured as best-of-N wall time for the same seeded ScinetTestbed run,
 with the bundle attached post-construction (the testbed itself takes no

@@ -39,7 +39,6 @@ from repro.gridftp.client import ClientSession, GridFtpClient, TransferHandle
 from repro.gridftp.striped import StripedServer, StripedTransferResult
 from repro.gridftp.restart import (
     ReliabilityPolicy,
-    RestartLog,
     RestartMarkers,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "GridFtpError",
     "GridFtpServer",
     "ReliabilityPolicy",
-    "RestartLog",
     "RestartMarkers",
     "StripedServer",
     "StripedTransferResult",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 
@@ -140,26 +140,6 @@ class RestartMarkers:
 
     def __repr__(self) -> str:
         return f"RestartMarkers({self.serialize()!r})"
-
-
-@dataclass
-class RestartLog:
-    """Restart-marker history for one logical transfer."""
-
-    path: str
-    markers: List[Tuple[float, float, str]] = field(default_factory=list)
-
-    def mark(self, t: float, bytes_done: float, reason: str) -> None:
-        """Record a restart point."""
-        self.markers.append((t, bytes_done, reason))
-
-    @property
-    def restarts(self) -> int:
-        return len(self.markers)
-
-    def resume_offset(self) -> float:
-        """Bytes safely delivered before the last interruption."""
-        return self.markers[-1][1] if self.markers else 0.0
 
 
 @dataclass

@@ -45,6 +45,7 @@ from typing import Dict, List, Literal, Optional
 
 from repro.net.dns import NameService
 from repro.net.fluid import FluidNetwork
+from repro.obs import Observability
 from repro.sim.core import Environment
 
 FaultKind = Literal["link", "site", "dns", "degrade", "corrupt",
@@ -240,14 +241,12 @@ class FaultInjector:
         self.directories = directories or {}
         self.hrms = hrms or {}
         self.crashables = crashables or {}
-        self.obs = obs          # optional repro.obs.Observability bundle
+        self.obs = obs or Observability()
         self.log: List[tuple] = []  # (time, action, description)
 
     # -- observability -----------------------------------------------------
     def _fault_begin(self, fault: Fault):
         """``fault.begin`` event + an open span on the "faults" trace."""
-        if self.obs is None:
-            return None
         self.obs.event("fault.begin", prog="fault-injector",
                        kind=fault.kind, target=fault.target,
                        description=fault.description)
@@ -257,8 +256,6 @@ class FaultInjector:
                              description=fault.description)
 
     def _fault_end(self, fault: Fault, span) -> None:
-        if self.obs is None:
-            return
         self.obs.event("fault.end", prog="fault-injector",
                        kind=fault.kind, target=fault.target,
                        description=fault.description)
@@ -284,8 +281,7 @@ class FaultInjector:
                 # to install time.
                 self.name_service.add_outage(self.env.now + fault.start,
                                              fault.duration)
-                if self.obs is not None:
-                    self.env.process(self._observe_window(fault))
+                self.env.process(self._observe_window(fault))
                 continue
             if fault.kind == "directory":
                 directory = self.directories.get(fault.target)
@@ -296,8 +292,7 @@ class FaultInjector:
                                      fault.duration, mode=fault.mode)
                 self.log.append((self.env.now, "directory scheduled",
                                  fault.description or fault.target))
-                if self.obs is not None:
-                    self.env.process(self._observe_window(fault))
+                self.env.process(self._observe_window(fault))
                 continue
             if fault.kind == "server":
                 if fault.target not in self.servers:

@@ -1,7 +1,7 @@
 """``repro.obs`` — the simulation-time observability layer.
 
 Three legs, bundled by :class:`Observability` so a component needs one
-optional reference to get all of them:
+reference to get all of them:
 
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges,
   histograms with label sets and sim-clock timestamps (Prometheus-style
@@ -11,17 +11,18 @@ optional reference to get all of them:
 - a :class:`~repro.netlogger.log.NetLogger` — the ULM event log the
   lifeline analysis in :mod:`repro.netlogger.analysis` consumes.
 
-Every emit helper checks for ``None`` legs, so components can be handed
-a partially-wired bundle (e.g. metrics only) and instrumentation always
-degrades to a no-op.
+A bundle is in one of two states: :meth:`Observability.create` wires
+all three legs, and a bare ``Observability()`` has none, so every emit
+helper is a no-op. Instrumented components always hold a bundle (the
+bare one when the caller passes none) and emit through its helpers
+without checking first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.netlogger.log import NetLogger
 from repro.obs.metrics import (
     Counter,
     DEFAULT_BUCKETS,
@@ -33,18 +34,21 @@ from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.trace import Span, Tracer
 from repro.sim.core import Environment
 
+if TYPE_CHECKING:  # repro.netlogger imports repro.net, which imports us
+    from repro.netlogger.log import NetLogger
+
 
 @dataclass
 class Observability:
-    """The bundle instrumented components carry (all legs optional).
+    """The bundle instrumented components carry.
 
-    The analysis tier (``repro.obs.timeseries`` / ``critical_path`` /
-    ``slo``) reads this bundle; ``timeseries`` is attached by scenario
-    helpers (e.g. ``EsgTestbed.start_timeseries``) when windowed
-    recording is on.
+    ``Observability()`` is the off state: no legs, every helper a
+    no-op. The analysis tier (``repro.obs.timeseries`` /
+    ``critical_path`` / ``slo``) reads a wired bundle; ``timeseries``
+    is attached by scenario helpers (e.g.
+    ``EsgTestbed.start_timeseries``) when windowed recording is on.
     """
 
-    env: Environment
     logger: Optional[NetLogger] = None
     metrics: Optional[MetricsRegistry] = None
     tracer: Optional[Tracer] = None
@@ -52,18 +56,18 @@ class Observability:
 
     @classmethod
     def create(cls, env: Environment, host: str = "localhost",
-               prog: str = "repro", logger: Optional[NetLogger] = None,
-               capacity: Optional[int] = None) -> "Observability":
+               prog: str = "repro",
+               logger: Optional[NetLogger] = None) -> "Observability":
         """A fully-wired bundle; pass ``logger`` to share an existing
-        event log (``capacity`` bounds a newly-created one)."""
+        event log."""
         if logger is None:
-            logger = NetLogger(env, host=host, prog=prog,
-                               capacity=capacity)
-        return cls(env=env, logger=logger,
+            from repro.netlogger.log import NetLogger
+            logger = NetLogger(env, host=host, prog=prog)
+        return cls(logger=logger,
                    metrics=MetricsRegistry(env, logger=logger),
                    tracer=Tracer(env))
 
-    # -- guarded emit helpers --------------------------------------------
+    # -- emit helpers (each checks its own leg) ----------------------------
     def event(self, name: str, host: Optional[str] = None,
               prog: Optional[str] = None, **fields) -> None:
         """Append a ULM event (no-op without a logger)."""

@@ -10,7 +10,7 @@ exist as the ablation baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol
+from typing import List, Protocol
 
 import numpy as np
 
@@ -34,7 +34,13 @@ class ReplicaCandidate:
 
 
 class SelectionPolicy(Protocol):
-    """Ranks candidates; the first element of the result is tried first."""
+    """Ranks candidates; the first element of the result is tried first.
+
+    ``name`` labels the ``replica.*`` ranking metrics the request
+    manager records before each :meth:`rank` call.
+    """
+
+    name: str
 
     def rank(self, candidates: List[ReplicaCandidate],
              nbytes: float) -> List[ReplicaCandidate]:
@@ -44,9 +50,7 @@ class SelectionPolicy(Protocol):
 
 def _record_rank(obs, policy: str,
                  candidates: List[ReplicaCandidate]) -> None:
-    """Selection metrics shared by all policies (no-op without obs)."""
-    if obs is None:
-        return
+    """Selection metrics for one ranking by ``policy``."""
     obs.count("replica.ranks_total", policy=policy)
     obs.gauge("replica.candidates", len(candidates), policy=policy)
     n_stale = sum(1 for c in candidates if c.stale)
@@ -61,13 +65,13 @@ class NwsBestPolicy:
     into the ranking for size-aware decisions.
     """
 
-    def __init__(self, consider_staging: bool = False, obs=None):
+    name = "nws-best"
+
+    def __init__(self, consider_staging: bool = False):
         self.consider_staging = consider_staging
-        self.obs = obs
 
     def rank(self, candidates: List[ReplicaCandidate],
              nbytes: float) -> List[ReplicaCandidate]:
-        _record_rank(self.obs, "nws-best", candidates)
         if self.consider_staging:
             return sorted(candidates,
                           key=lambda c: c.transfer_estimate(nbytes))
@@ -86,16 +90,16 @@ class NwsSpreadPolicy:
     replicas at once.
     """
 
-    def __init__(self, tolerance: float = 0.5, obs=None):
+    name = "nws-spread"
+
+    def __init__(self, tolerance: float = 0.5):
         if tolerance < 0:
             raise ValueError("tolerance must be >= 0")
         self.tolerance = tolerance
-        self.obs = obs
         self._counter = 0
 
     def rank(self, candidates: List[ReplicaCandidate],
              nbytes: float) -> List[ReplicaCandidate]:
-        _record_rank(self.obs, "nws-spread", candidates)
         if not candidates:
             return []
         ranked = sorted(candidates,
@@ -115,13 +119,13 @@ class NwsSpreadPolicy:
 class RandomPolicy:
     """Uniform random order (ablation baseline)."""
 
-    def __init__(self, rng: np.random.Generator, obs=None):
+    name = "random"
+
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.obs = obs
 
     def rank(self, candidates: List[ReplicaCandidate],
              nbytes: float) -> List[ReplicaCandidate]:
-        _record_rank(self.obs, "random", candidates)
         order = self.rng.permutation(len(candidates))
         return [candidates[i] for i in order]
 
@@ -131,13 +135,13 @@ class RoundRobinPolicy:
     baseline; also what a load-balancing selector without performance
     information would do)."""
 
-    def __init__(self, obs=None):
-        self.obs = obs
+    name = "round-robin"
+
+    def __init__(self):
         self._counter = 0
 
     def rank(self, candidates: List[ReplicaCandidate],
              nbytes: float) -> List[ReplicaCandidate]:
-        _record_rank(self.obs, "round-robin", candidates)
         if not candidates:
             return []
         ordered = sorted(candidates, key=lambda c: c.location.name)

@@ -34,15 +34,16 @@ from repro.gridftp.protocol import (
 )
 from repro.gridftp.restart import ReliabilityPolicy
 from repro.gridftp.server import GridFtpServer
+from repro.ldap.directory import DirectoryError
 from repro.mds.service import MdsService
-from repro.netlogger.log import NetLogger
 from repro.nws.service import NetworkWeatherService
 from repro.obs import Observability
-from repro.replica.catalog import LocationInfo, ReplicaCatalog
+from repro.replica.catalog import LocationInfo, ReplicaCatalog, ReplicaError
 from repro.replica.selection import (
     NwsBestPolicy,
     ReplicaCandidate,
     SelectionPolicy,
+    _record_rank,
 )
 from repro.rm.request import FileRequest, FileState, RequestTicket
 from repro.rm.resilience import FailureClass, ResiliencePolicy
@@ -79,19 +80,19 @@ class RequestManager:
     nws:
         Optional NWS service; completed transfers are fed back as
         measurements.
-    logger:
-        Optional NetLogger for ULM events.
     resilience:
         Optional :class:`~repro.rm.resilience.ResiliencePolicy` enabling
         retry rounds, circuit breakers, and default deadlines. ``None``
         preserves the original single-sweep behaviour exactly.
     obs:
-        Optional :class:`~repro.obs.Observability` bundle: pipeline
-        metrics, per-ticket/per-file/per-attempt spans, and lifeline
-        milestone events (``rm.request`` → ``rm.select`` →
-        ``gridftp.connect`` → ``gridftp.first_byte`` → terminal). When
-        ``obs`` carries a logger and ``logger`` is unset, events go to
-        the bundle's log.
+        :class:`~repro.obs.Observability` bundle (default: the off
+        bundle). Every RM emission goes through it: pipeline metrics,
+        the policy's ranking metrics, per-ticket/per-file/per-attempt
+        spans, and the ULM lifeline events (``rm.request`` →
+        ``rm.select`` → ``gridftp.connect`` → ``gridftp.first_byte`` →
+        ``rm.verify`` → ``rm.transfer.done`` / ``rm.failure``, plus
+        ``rm.message``, ``rm.retry``, ``rm.queue`` / ``rm.granted`` and
+        ``rm.rank.degraded``).
     scheduler:
         Optional shared :class:`~repro.rm.scheduler.TransferScheduler`.
         When set, every transfer attempt acquires an admission slot
@@ -110,7 +111,6 @@ class RequestManager:
                  policy: Optional[SelectionPolicy] = None,
                  reliability: Optional[ReliabilityPolicy] = None,
                  nws: Optional[NetworkWeatherService] = None,
-                 logger: Optional[NetLogger] = None,
                  config: Optional[GridFtpConfig] = None,
                  resilience: Optional[ResiliencePolicy] = None,
                  obs: Optional[Observability] = None,
@@ -127,14 +127,7 @@ class RequestManager:
         self.policy = policy or NwsBestPolicy()
         self.reliability = reliability
         self.nws = nws
-        self.obs = obs
-        if logger is None and obs is not None:
-            logger = obs.logger
-        self.logger = logger
-        # selection policies record ranking metrics when instrumented
-        if obs is not None and getattr(self.policy, "obs", None) is None \
-                and hasattr(self.policy, "obs"):
-            self.policy.obs = obs
+        self.obs = obs or Observability()
         self.config = config or GridFtpConfig()
         self.resilience = resilience
         self.scheduler = scheduler
@@ -212,13 +205,12 @@ class RequestManager:
                          if ticket_deadline is not None else None))
         if res is not None:
             ticket.breakers = res.board(obs=self.obs)
-        if self.obs is not None:
-            self.obs.count("rm.tickets_total")
-            span = self.obs.span("rm.ticket", trace=f"ticket-{ticket.id}",
-                                 ticket=ticket.id, files=len(files))
-            if span is not None:
-                ticket.span = span
-                ticket.done.add_callback(lambda _ev: span.finish())
+        self.obs.count("rm.tickets_total")
+        span = self.obs.span("rm.ticket", trace=f"ticket-{ticket.id}",
+                             ticket=ticket.id, files=len(files))
+        if span is not None:
+            ticket.span = span
+            ticket.done.add_callback(lambda _ev: span.finish())
         self.tickets.append(ticket)
         workers = [self.env.process(self._file_thread(ticket, fr))
                    for fr in files]
@@ -289,9 +281,7 @@ class RequestManager:
 
     def _say(self, text: str) -> None:
         self.messages.append((self.env.now, text))
-        if self.logger is not None:
-            self.logger.event("rm.message", prog="request-manager",
-                              text=text)
+        self.obs.event("rm.message", prog="request-manager", text=text)
 
     def _should_stop(self, ticket: RequestTicket, fr: FileRequest) -> bool:
         """Checkpoint between yields: True = stop, ``fr`` is finalized."""
@@ -317,13 +307,10 @@ class RequestManager:
                  attempt: int):
         """Interruptible sleep before retry round ``attempt`` + 1."""
         delay = self.resilience.retry.delay(attempt, rng=self._jitter_rng)
-        if self.logger is not None:
-            self.logger.event("rm.retry", prog="request-manager",
-                              file=fr.logical_file, round=str(attempt),
-                              ticket=str(ticket.id),
-                              backoff=f"{delay:.2f}")
-        if self.obs is not None:
-            self.obs.count("rm.retries_total")
+        self.obs.event("rm.retry", prog="request-manager",
+                       file=fr.logical_file, round=str(attempt),
+                       ticket=str(ticket.id), backoff=f"{delay:.2f}")
+        self.obs.count("rm.retries_total")
         self._say(f"{fr.logical_file}: retry round {attempt + 1} in "
                   f"{delay:.1f}s")
         timer = self.env.timeout(delay)
@@ -340,25 +327,23 @@ class RequestManager:
         env = self.env
         fr.started_at = env.now
         obs = self.obs
-        if obs is not None:
-            obs.event("rm.request", prog="request-manager",
-                      ticket=ticket.id, file=fr.logical_file,
-                      collection=fr.collection)
-            fr.span = obs.span("rm.file", parent=ticket.span,
-                               trace=f"ticket-{ticket.id}",
-                               ticket=ticket.id, file=fr.logical_file)
+        obs.event("rm.request", prog="request-manager",
+                  ticket=ticket.id, file=fr.logical_file,
+                  collection=fr.collection)
+        fr.span = obs.span("rm.file", parent=ticket.span,
+                           trace=f"ticket-{ticket.id}",
+                           ticket=ticket.id, file=fr.logical_file)
         try:
             yield from self._file_body(ticket, fr)
         finally:
-            if obs is not None:
-                outcome = fr.state.value
-                if fr.span is not None:
-                    fr.span.finish(status=outcome)
-                obs.count("rm.files_total", outcome=outcome)
-                if fr.finished_at is not None:
-                    obs.observe("rm.file_seconds",
-                                fr.finished_at - fr.started_at,
-                                outcome=outcome)
+            outcome = fr.state.value
+            if fr.span is not None:
+                fr.span.finish(status=outcome)
+            obs.count("rm.files_total", outcome=outcome)
+            if fr.finished_at is not None:
+                obs.observe("rm.file_seconds",
+                            fr.finished_at - fr.started_at,
+                            outcome=outcome)
 
     def _file_body(self, ticket: RequestTicket, fr: FileRequest):
         env = self.env
@@ -392,7 +377,7 @@ class RequestManager:
                     else:
                         replicas = yield from self.catalog.find_replicas(
                             fr.collection, fr.logical_file)
-                except Exception as exc:
+                except (DirectoryError, ReplicaError) as exc:
                     if self._should_stop(ticket, fr):
                         return
                     last_error = f"replica lookup failed: {exc}"
@@ -402,8 +387,7 @@ class RequestManager:
                     return
                 if lookup_meta is not None and lookup_meta.stale:
                     fr.stale_lookups += 1
-                    if self.obs is not None:
-                        self.obs.count("rm.stale_lookups_total")
+                    self.obs.count("rm.stale_lookups_total")
             if not replicas:
                 if lookup_meta is not None and (lookup_meta.partial
                                                 or lookup_meta.stale):
@@ -437,7 +421,7 @@ class RequestManager:
                              c.location.name) not in self.quarantined]
                 quar = [c for c in candidates if c not in fresh]
                 candidates = fresh + quar
-            if self.obs is not None and candidates:
+            if candidates:
                 self.obs.event("rm.select", prog="request-manager",
                                ticket=ticket.id, file=fr.logical_file,
                                host=candidates[0].location.hostname,
@@ -516,7 +500,7 @@ class RequestManager:
                     forecast = yield from self.mds.nws_forecast(
                         server.host.node, self.dest_host.node)
                     live = forecast is not None
-                except Exception:
+                except DirectoryError:
                     degraded = True
                     forecast = self._forecast_cache.get(path_key)
             if forecast is not None:
@@ -537,19 +521,17 @@ class RequestManager:
                 stage_wait=stage_wait, stale=stale))
         if degraded:
             fr.degraded_rankings += 1
-            if self.obs is not None:
-                self.obs.count("rm.degraded_ranks_total")
-            if self.logger is not None:
-                self.logger.event("rm.rank.degraded",
-                                  prog="request-manager",
-                                  file=fr.logical_file,
-                                  candidates=str(len(candidates)))
+            self.obs.count("rm.degraded_ranks_total")
+            self.obs.event("rm.rank.degraded", prog="request-manager",
+                           file=fr.logical_file,
+                           candidates=str(len(candidates)))
             self._say(f"{fr.logical_file}: MDS unreachable, ranking from "
                       "cached forecasts (round-robin)")
             ordered = sorted(candidates, key=lambda c: c.location.name)
             k = self._degraded_counter % len(ordered) if ordered else 0
             self._degraded_counter += 1
             return ordered[k:] + ordered[:k]
+        _record_rank(self.obs, self.policy.name, candidates)
         return self.policy.rank(candidates, fr.size)
 
     def _classify(self, exc: GridFtpError) -> FailureClass:
@@ -580,13 +562,11 @@ class RequestManager:
         else:
             self.quarantined[(fr.collection, fr.logical_file,
                               loc.name)] = self.env.now
-            if self.obs is not None:
-                self.obs.event("catalog.demote", prog="request-manager",
-                               collection=fr.collection,
-                               file=fr.logical_file, location=loc.name)
-                self.obs.count("catalog.demotes_total")
-        if self.obs is not None:
-            self.obs.count("rm.stale_demotes_total")
+            self.obs.event("catalog.demote", prog="request-manager",
+                           collection=fr.collection,
+                           file=fr.logical_file, location=loc.name)
+            self.obs.count("catalog.demotes_total")
+        self.obs.count("rm.stale_demotes_total")
         self._say(f"{fr.logical_file}: stale catalog entry at {loc.name} "
                   "demoted")
 
@@ -641,22 +621,20 @@ class RequestManager:
             fr.state = FileState.STAGING
             self._say(f"{fr.logical_file}: staging from MSS at "
                       f"{loc.hostname}")
-        span = None
-        if self.obs is not None:
-            span = self.obs.span("rm.attempt", parent=fr.span,
-                                 trace=(f"ticket-{ticket.id}"
-                                        if ticket is not None else None),
-                                 file=fr.logical_file, host=loc.hostname)
+        span = self.obs.span("rm.attempt", parent=fr.span,
+                             trace=(f"ticket-{ticket.id}"
+                                    if ticket is not None else None),
+                             file=fr.logical_file, host=loc.hostname)
         self._hook("attempt", fr, host=loc.hostname, location=loc.name)
         tfields = ({"ticket": str(ticket.id)}
                    if ticket is not None else {})
-        if self.scheduler is not None and self.logger is not None:
+        if self.scheduler is not None:
             # Lifeline milestone: admission-queue wait starts here and
             # ends at rm.granted, so queue time is blamed on the
             # scheduler rather than folded into connect time.
-            self.logger.event("rm.queue", prog="request-manager",
-                              file=fr.logical_file, host=loc.hostname,
-                              **tfields)
+            self.obs.event("rm.queue", prog="request-manager",
+                           file=fr.logical_file, host=loc.hostname,
+                           **tfields)
         grant, err, fclass = yield from self._acquire_slot(
             fr, loc, ticket, handle)
         if err is not None:
@@ -664,14 +642,11 @@ class RequestManager:
                 span.finish(status="error", error="admission")
             return False, err, fclass
         if grant is not None:
-            if self.logger is not None:
-                self.logger.event("rm.granted", prog="request-manager",
-                                  file=fr.logical_file,
-                                  host=loc.hostname,
-                                  waited=f"{grant.waited:.3f}", **tfields)
-            if self.obs is not None:
-                self.obs.observe("rm.queue_seconds", grant.waited,
-                                 tenant=self.tenant)
+            self.obs.event("rm.granted", prog="request-manager",
+                           file=fr.logical_file, host=loc.hostname,
+                           waited=f"{grant.waited:.3f}", **tfields)
+            self.obs.observe("rm.queue_seconds", grant.waited,
+                             tenant=self.tenant)
         # Admitted: the grant's stream budget replaces the configured
         # maximum, so the server's parallel-stream budget is split
         # across admitted transfers instead of multiplied by them.
@@ -689,11 +664,10 @@ class RequestManager:
                 return (False, f"connect failed ({exc.reply.code})",
                         FailureClass.CONNECT)
             connected_at = env.now
-            if self.obs is not None:
-                self.obs.event(
-                    "gridftp.connect", prog="gridftp", host=loc.hostname,
-                    file=fr.logical_file,
-                    **({"ticket": ticket.id} if ticket is not None else {}))
+            self.obs.event(
+                "gridftp.connect", prog="gridftp", host=loc.hostname,
+                file=fr.logical_file,
+                **({"ticket": ticket.id} if ticket is not None else {}))
             # Verify-on-open: the catalog entry may be stale (cached or
             # lagging-shard answer). Probe before committing streams;
             # a server that cannot produce the file fails the attempt as
@@ -759,26 +733,24 @@ class RequestManager:
                                      self.dest_host.node) / 2)
             extra = ({"ticket": str(ticket.id)}
                      if ticket is not None else {})
-            if self.obs is not None:
-                self.obs.count("rm.transfers_total", host=loc.hostname)
-                self.obs.count("rm.transfer_bytes_total",
-                               stats.transferred_bytes, host=loc.hostname)
-                self.obs.count("rm.tenant_bytes_total",
-                               stats.transferred_bytes, tenant=self.tenant)
-                self.obs.observe("rm.transfer_seconds", elapsed)
-                if handle.first_byte_at is not None:
-                    ttfb = handle.first_byte_at - connected_at
-                    self.obs.observe("rm.ttfb_seconds", ttfb)
-                    self.obs.observe("rm.tenant_ttfb_seconds", ttfb,
-                                     tenant=self.tenant)
+            self.obs.count("rm.transfers_total", host=loc.hostname)
+            self.obs.count("rm.transfer_bytes_total",
+                           stats.transferred_bytes, host=loc.hostname)
+            self.obs.count("rm.tenant_bytes_total",
+                           stats.transferred_bytes, tenant=self.tenant)
+            self.obs.observe("rm.transfer_seconds", elapsed)
+            if handle.first_byte_at is not None:
+                ttfb = handle.first_byte_at - connected_at
+                self.obs.observe("rm.ttfb_seconds", ttfb)
+                self.obs.observe("rm.tenant_ttfb_seconds", ttfb,
+                                 tenant=self.tenant)
             self._hook("delivered", fr, host=loc.hostname,
                        location=loc.name, bytes=stats.transferred_bytes)
-            if self.logger is not None:
-                # Milestone: closes the stream stage, so checksum time
-                # is blamed on verify rather than on the WAN.
-                self.logger.event("rm.verify", prog="request-manager",
-                                  file=fr.logical_file, host=loc.hostname,
-                                  **extra)
+            # Milestone: closes the stream stage, so checksum time is
+            # blamed on verify rather than on the WAN.
+            self.obs.event("rm.verify", prog="request-manager",
+                           file=fr.logical_file, host=loc.hostname,
+                           **extra)
             ok, verr = yield from self._verify_arrival(fr, loc, cfg, stats)
             if not ok:
                 # Quarantine + delete happened inside _verify_arrival;
@@ -788,15 +760,13 @@ class RequestManager:
                     span.finish(status="error", error="integrity")
                 session.close()
                 return False, verr, FailureClass.INTEGRITY
-            if self.logger is not None:
-                # Terminal event only once the delivered bytes passed
-                # (or skipped) verification — an integrity-failed
-                # attempt must not leave a "done" lifeline behind.
-                self.logger.event("rm.transfer.done",
-                                  prog="request-manager",
-                                  file=fr.logical_file, host=loc.hostname,
-                                  bytes=f"{stats.transferred_bytes:.0f}",
-                                  seconds=f"{elapsed:.3f}", **extra)
+            # Terminal event only once the delivered bytes passed (or
+            # skipped) verification — an integrity-failed attempt must
+            # not leave a "done" lifeline behind.
+            self.obs.event("rm.transfer.done", prog="request-manager",
+                           file=fr.logical_file, host=loc.hostname,
+                           bytes=f"{stats.transferred_bytes:.0f}",
+                           seconds=f"{elapsed:.3f}", **extra)
             if span is not None:
                 span.finish(status="ok", bytes=stats.transferred_bytes)
             session.close()
@@ -834,11 +804,10 @@ class RequestManager:
         actual = file_digest(delivered)
         if actual == expected:
             fr.verified = True
-            if self.obs is not None:
-                self.obs.count("rm.verifies_total", outcome="ok")
-                self.obs.observe("rm.verify_seconds", scan)
-                self.obs.observe("rm.tenant_verify_seconds", scan,
-                                 tenant=self.tenant)
+            self.obs.count("rm.verifies_total", outcome="ok")
+            self.obs.observe("rm.verify_seconds", scan)
+            self.obs.observe("rm.tenant_verify_seconds", scan,
+                             tenant=self.tenant)
             self._hook("verified", fr, host=loc.hostname,
                        location=loc.name, seconds=scan,
                        bytes=stats.transferred_bytes)
@@ -851,16 +820,12 @@ class RequestManager:
             self.dest_fs.delete(fr.logical_file)
         self._say(f"{fr.logical_file}: digest mismatch from "
                   f"{loc.hostname} — replica quarantined")
-        if self.logger is not None:
-            self.logger.event("rm.integrity.mismatch",
-                              prog="request-manager",
-                              file=fr.logical_file, host=loc.hostname,
-                              location=loc.name, expected=expected,
-                              actual=actual)
-        if self.obs is not None:
-            self.obs.count("rm.verifies_total", outcome="mismatch")
-            self.obs.count("rm.integrity_failures_total",
-                           host=loc.hostname)
+        self.obs.event("rm.integrity.mismatch", prog="request-manager",
+                       file=fr.logical_file, host=loc.hostname,
+                       location=loc.name, expected=expected,
+                       actual=actual)
+        self.obs.count("rm.verifies_total", outcome="mismatch")
+        self.obs.count("rm.integrity_failures_total", host=loc.hostname)
         self._hook("integrity_failed", fr, host=loc.hostname,
                    location=loc.name)
         return False, f"digest mismatch from {loc.hostname}"
@@ -871,9 +836,8 @@ class RequestManager:
         fr.state = FileState.CANCELLED
         fr.finished_at = self.env.now
         self._say(f"{fr.logical_file}: cancelled")
-        if self.obs is not None:
-            self.obs.event("rm.cancelled", prog="request-manager",
-                           ticket=ticket.id, file=fr.logical_file)
+        self.obs.event("rm.cancelled", prog="request-manager",
+                       ticket=ticket.id, file=fr.logical_file)
 
     def _fail(self, ticket: RequestTicket, fr: FileRequest, reason: str,
               failure_class: Optional[FailureClass] = None) -> None:
@@ -885,12 +849,10 @@ class RequestManager:
         fr.finished_at = self.env.now
         label = failure_class.value if failure_class is not None else "?"
         self._say(f"{fr.logical_file}: FAILED [{label}] ({reason})")
-        if self.logger is not None:
-            self.logger.event("rm.failure", prog="request-manager",
-                              file=fr.logical_file, cls=label,
-                              ticket=str(ticket.id), reason=reason)
-        if self.obs is not None:
-            self.obs.count("rm.failures_total", cls=label)
+        self.obs.event("rm.failure", prog="request-manager",
+                       file=fr.logical_file, cls=label,
+                       ticket=str(ticket.id), reason=reason)
+        self.obs.count("rm.failures_total", cls=label)
         self._hook("failed", fr, reason=reason,
                    cls=label)
 

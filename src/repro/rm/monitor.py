@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.obs import Observability
 from repro.rm.manager import RequestManager
 from repro.rm.request import FileState, RequestTicket
 from repro.sim.core import Environment
@@ -27,39 +28,32 @@ class TransferMonitor:
     ----------
     env, manager, ticket, period:
         What to watch and how often.
-    events:
-        Optional NetLogger (or any iterable of
-        :class:`~repro.netlogger.log.LogRecord`). When hooked, the
-        Messages pane shows the ticket's latest NetLogger lifeline
-        events instead of the manager's free-text messages. Defaults to
-        ``obs.logger`` when an ``obs`` bundle is given.
     obs:
-        Optional :class:`~repro.obs.Observability`; each :meth:`run`
-        sample also updates the ``monitor.sample`` gauge (bytes done,
-        labelled by ticket).
+        :class:`~repro.obs.Observability` bundle (default: the off
+        bundle). Each :meth:`run` sample updates its ``monitor.sample``
+        gauge (bytes done, labelled by ticket). When the bundle carries
+        a NetLogger, the Messages pane shows the ticket's latest ULM
+        lifeline events from it instead of the manager's free-text
+        messages.
     """
 
     def __init__(self, env: Environment, manager: RequestManager,
                  ticket: RequestTicket, period: float = 3.0,
-                 events=None, obs=None):
+                 obs=None):
         if period <= 0:
             raise ValueError("period must be positive")
         self.env = env
         self.manager = manager
         self.ticket = ticket
         self.period = period
-        self.obs = obs
-        if events is None and obs is not None:
-            events = obs.logger
-        self.events = events
+        self.obs = obs or Observability()
         self.snapshots: List[Tuple[float, float]] = []  # (t, total bytes)
 
     def _ticket_events(self, limit: int) -> List:
         """The newest ULM records carrying this ticket's id."""
-        if self.events is None:
-            return []
         tid = str(self.ticket.id)
-        out = [r for r in self.events if r.fields.get("ticket") == tid]
+        out = [r for r in self.obs.logger or ()
+               if r.fields.get("ticket") == tid]
         return out[-limit:]
 
     # -- rendering --------------------------------------------------------
@@ -109,9 +103,7 @@ class TransferMonitor:
     def _sample(self) -> None:
         done = self.ticket.bytes_done
         self.snapshots.append((self.env.now, done))
-        if self.obs is not None:
-            self.obs.gauge("monitor.sample", done,
-                           ticket=str(self.ticket.id))
+        self.obs.gauge("monitor.sample", done, ticket=str(self.ticket.id))
 
     def aggregate_rate_series(self) -> List[Tuple[float, float]]:
         """(t, bytes/s) estimated from consecutive snapshots."""

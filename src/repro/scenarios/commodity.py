@@ -42,6 +42,7 @@ from repro.net.topology import Topology
 from repro.net.transport import Transport
 from repro.net.units import GB, MB, mbps
 from repro.netlogger.log import NetLogger
+from repro.obs import Observability
 from repro.sim.core import Environment
 from repro.storage.filesystem import FileSystem
 
@@ -166,7 +167,9 @@ class CommodityTestbed:
             credential_chain=user.make_proxy(env.now))
         self.dst_fs = FileSystem(env, "anl-fs")
         self.injector = FaultInjector(env, self.network, self.dns)
-        self.logger = NetLogger(env, host="anl-ws", prog="gridftp")
+        # The driver's event log; the server and client stay unwired.
+        self.obs = Observability(
+            logger=NetLogger(env, host="anl-ws", prog="gridftp"))
 
 
 def run_figure8_schedule(testbed: CommodityTestbed,
@@ -214,19 +217,18 @@ def run_figure8_schedule(testbed: CommodityTestbed,
             except GridFtpError:
                 # DNS outage or dead path at connect time: retry soon.
                 counts["failed"] += 1
-                testbed.logger.event("transfer.connect_failed",
-                                     t=env.now)
+                testbed.obs.event("transfer.connect_failed", t=env.now)
                 yield env.timeout(30.0)
                 continue
             copy += 1
-            testbed.logger.event("transfer.start", copy=copy, streams=n)
+            testbed.obs.event("transfer.start", copy=copy, streams=n)
             try:
                 stats = yield from session.get(
                     "big-2gb.dat", testbed.dst_fs, testbed.dst_host,
                     dest_name=f"copy{copy}.dat", config=cfg, record=True)
             except GridFtpError:
                 counts["failed"] += 1
-                testbed.logger.event("transfer.failed", copy=copy)
+                testbed.obs.event("transfer.failed", copy=copy)
                 session.close()
                 continue
             if not channel_caching:
@@ -236,9 +238,9 @@ def run_figure8_schedule(testbed: CommodityTestbed,
             counts["done"] += 1
             counts["restarts"] += stats.restarts
             counts["bytes"] += stats.transferred_bytes
-            testbed.logger.event("transfer.end", copy=copy,
-                                 bytes=f"{stats.transferred_bytes:.0f}",
-                                 restarts=stats.restarts)
+            testbed.obs.event("transfer.end", copy=copy,
+                              bytes=f"{stats.transferred_bytes:.0f}",
+                              restarts=stats.restarts)
 
     p = env.process(driver())
     env.run(until=duration)

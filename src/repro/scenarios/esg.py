@@ -175,9 +175,6 @@ class EsgTestbed:
         touched chunks.
     derived_cache_bytes:
         Per-server derived-product cache budget (0 disables).
-    eret_range_staging:
-        Whether tape-resident ERET requests start once the needed byte
-        prefix is staged (see :class:`~repro.gridftp.server.GridFtpServer`).
     """
 
     def __init__(self, seed: int = 0, years: int = 1,
@@ -200,8 +197,7 @@ class EsgTestbed:
                  kernel_queue: str = "calendar",
                  aggregation_threshold: Optional[int] = None,
                  sdbf_chunks=None,
-                 derived_cache_bytes: float = 64 * 2**20,
-                 eret_range_staging: bool = True):
+                 derived_cache_bytes: float = 64 * 2**20):
         self.env = Environment(seed=seed, queue=kernel_queue)
         env = self.env
         self.grid = grid or GridSpec(nlat=32, nlon=64, months=12)
@@ -216,8 +212,6 @@ class EsgTestbed:
         # One observability bundle for the whole testbed: the shared ULM
         # log above plus a metrics registry and tracer (repro.obs).
         self.obs = Observability.create(env, logger=self.logger)
-        # attached by start_timeseries() when windowed recording is on
-        self.timeseries = None
 
         # -- security fabric
         ca = CertificateAuthority("DOE Science Grid CA")
@@ -260,8 +254,7 @@ class EsgTestbed:
                                    hrm=hrm, hostname=hostname,
                                    obs=self.obs,
                                    max_connections=max_server_connections,
-                                   derived_cache_bytes=derived_cache_bytes,
-                                   eret_range_staging=eret_range_staging)
+                                   derived_cache_bytes=derived_cache_bytes)
             install_standard_plugins(server)
             self.registry[hostname] = server
             self.sites[name] = EsgSite(name, hostname, host, server, fs,
@@ -312,7 +305,7 @@ class EsgTestbed:
         self.request_manager = RequestManager(
             env, self.replica_catalog, self.mds, self.gridftp,
             self.registry, self.client_host, self.client_fs,
-            reliability=reliability, nws=self.nws, logger=self.logger,
+            reliability=reliability, nws=self.nws,
             config=config or GridFtpConfig(parallelism=4),
             resilience=resilience, obs=self.obs,
             scheduler=self.scheduler, tenant="client")
@@ -450,8 +443,7 @@ class EsgTestbed:
             config=cfg, client_name=name, obs=self.obs)
         rm = RequestManager(
             self.env, self.replica_catalog, self.mds, client,
-            self.registry, host, fs, nws=self.nws, logger=self.logger,
-            config=cfg, obs=self.obs,
+            self.registry, host, fs, nws=self.nws, config=cfg, obs=self.obs,
             resilience=resilience, scheduler=self.scheduler,
             tenant=name)
         return rm
@@ -504,8 +496,8 @@ class EsgTestbed:
                 fs = FileSystem(self.env, f"{name_prefix}-user{u}-fs")
                 rm = RequestManager(
                     self.env, self.replica_catalog, self.mds, client,
-                    self.registry, host, fs, nws=self.nws,
-                    logger=self.logger, config=cfg, obs=self.obs,
+                    self.registry, host, fs, nws=self.nws, config=cfg,
+                    obs=self.obs,
                     scheduler=self.scheduler, tenant=pop)
                 rms.append(rm)
         return rms
@@ -584,7 +576,6 @@ class EsgTestbed:
         ts.add_multi_probe(_conns)
         ts.start()
         self.obs.timeseries = ts
-        self.timeseries = ts
         return ts
 
     # -- ESG-II: DODS-protocol access to the same archive -----------------------

@@ -7,7 +7,6 @@ from repro.gridftp import (
     GridFtpError,
     GridFtpServer,
     ReliabilityPolicy,
-    RestartLog,
     StripedServer,
 )
 from repro.hosts import CpuModel, DiskArray, DiskSpec, Host, HostSpec
@@ -278,15 +277,6 @@ def test_reliability_policy_validation():
         ReliabilityPolicy(min_rate=0)
     with pytest.raises(ValueError):
         ReliabilityPolicy(min_rate=1, consecutive_samples=0)
-
-
-def test_restart_log():
-    log = RestartLog("f.nc")
-    assert log.resume_offset() == 0.0
-    log.mark(10.0, 5 * MB, "stall")
-    log.mark(30.0, 12 * MB, "link down")
-    assert log.restarts == 2
-    assert log.resume_offset() == 12 * MB
 
 
 def test_put_survives_wan_outage():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.gridftp import ReliabilityPolicy
 from repro.net import FaultInjector, FaultSchedule, mbps
-from repro.replica import RandomPolicy
+from repro.replica import RandomPolicy, RoundRobinPolicy
 from repro.rm import CorbaChannel, FileState, TransferMonitor
 from repro.scenarios.esg import EsgTestbed
 
@@ -153,6 +153,19 @@ def test_random_policy_works_end_to_end():
     ticket = tb.request_manager.submit([(ds, n) for n in names])
     tb.env.run(until=ticket.done)
     assert ticket.complete and not ticket.failed_files
+
+
+def test_swapped_in_policy_still_records_rank_metrics():
+    """The RM records ranking metrics itself, so a policy assigned after
+    construction is counted under its own name."""
+    tb = make_testbed()
+    tb.request_manager.policy = RoundRobinPolicy()
+    ds, names = first_files(tb, 1)
+    ticket = tb.request_manager.submit([(ds, names[0])])
+    tb.env.run(until=ticket.done)
+    assert ticket.complete and not ticket.failed_files
+    ranks = tb.obs.metrics.counter("replica.ranks_total")
+    assert ranks.value(policy="round-robin") > 0
 
 
 def test_transfers_feed_nws_observations():

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.mds.service import MdsService
 from repro.net.faults import FaultSchedule
+from repro.replica.catalog import ReplicaCatalog
 from repro.rm import FileState
 from repro.rm.resilience import (
     BreakerBoard,
@@ -253,3 +255,34 @@ def test_retry_round_recovers_after_catalog_outage():
     fr = ticket.files[0]
     assert fr.state is FileState.DONE
     assert fr.failure_class is None
+
+
+# -- bug injection: programming errors are not modelled faults ---------------
+
+def _raise_type_error(*args, **kwargs):
+    raise TypeError("injected bug")
+    yield  # pragma: no cover - makes this a simulation process
+
+
+def test_catalog_lookup_bug_propagates(monkeypatch):
+    """A TypeError in the lookup path is a bug, not a LOOKUP failure:
+    it must not be retried to exhaustion and reported as a fault."""
+    res = ResiliencePolicy(retry=RetryPolicy(max_rounds=3, base_delay=1.0,
+                                             max_delay=1.0, jitter=0.0))
+    tb = make_testbed(resilience=res)
+    monkeypatch.setattr(ReplicaCatalog, "find_replicas", _raise_type_error)
+    ds, name = one_file(tb)
+    ticket = tb.request_manager.submit([(ds, name)])
+    with pytest.raises(TypeError, match="injected bug"):
+        tb.env.run(until=ticket.done)
+
+
+def test_forecast_bug_propagates(monkeypatch):
+    """A TypeError from the forecast path must not be absorbed as
+    degraded (MDS-down) ranking."""
+    tb = make_testbed(resilience=ResiliencePolicy())
+    monkeypatch.setattr(MdsService, "nws_forecast", _raise_type_error)
+    ds, name = one_file(tb)
+    ticket = tb.request_manager.submit([(ds, name)])
+    with pytest.raises(TypeError, match="injected bug"):
+        tb.env.run(until=ticket.done)
