@@ -34,7 +34,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.data.digest import file_digest
-from repro.data.ncformat import FormatError, SdbfReader, decode, encode
+from repro.data.ncformat import (FormatError, SdbfReader, decode, encode,
+                                  file_reader)
 from repro.data.variables import DataError, Dataset, Variable
 from repro.storage.filesystem import FileObject
 
@@ -48,7 +49,7 @@ def _require_reader(file: FileObject) -> SdbfReader:
         raise PluginError(f"{file.name}: no content to process "
                           f"(size-only synthetic file)")
     try:
-        return SdbfReader(file.content)
+        return file_reader(file)
     except FormatError as exc:
         raise PluginError(f"{file.name}: not an SDBF file: {exc}") from exc
 
@@ -60,7 +61,7 @@ def _require_dataset(file: FileObject) -> Dataset:
                           f"(size-only synthetic file)")
     try:
         return decode(file.content)
-    except Exception as exc:
+    except (FormatError, DataError) as exc:
         raise PluginError(f"{file.name}: not an SDBF file: {exc}") from exc
 
 

@@ -711,8 +711,9 @@ class FluidNetwork:
         if self._dirty_all or self.mode == "reference":
             return list(self._flow_map.values())
         scope: Set[Flow] = set()
+        expanded: Set[Link] = set(self._dirty_links)
         stack = [f for f in self._dirty_flows if f.active]
-        for link in self._dirty_links:
+        for link in expanded:
             stack.extend(link._flows)
         while stack:
             f = stack.pop()
@@ -720,9 +721,11 @@ class FluidNetwork:
                 continue
             scope.add(f)
             for link in f.path:
-                for g in link._flows:
-                    if g not in scope:
-                        stack.append(g)
+                # Each link's flows enter the closure once, not once per
+                # flow that crosses it.
+                if link not in expanded:
+                    expanded.add(link)
+                    stack.extend(link._flows)
         return sorted(scope, key=lambda f: f.id)
 
     def _flush_now(self) -> None:

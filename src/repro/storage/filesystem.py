@@ -39,8 +39,10 @@ class FileObject:
 
     ``name``, ``size`` and ``content`` must not be reassigned after
     construction: :func:`repro.data.digest.file_digest` memoizes the
-    hash state over them in ``_digest_state``. Changing what a file
-    holds means storing a new ``FileObject``.
+    hash state over them in ``_digest_state``, and
+    :func:`repro.data.ncformat.file_reader` the parsed SDBF header in
+    ``_sdbf_layout``. Changing what a file holds means storing a new
+    ``FileObject``.
     """
 
     name: str
@@ -50,6 +52,7 @@ class FileObject:
     metadata: Dict[str, object] = field(default_factory=dict)
     _serial: int = field(default_factory=itertools.count(1).__next__)
     _digest_state: object = field(default=None, compare=False, repr=False)
+    _sdbf_layout: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:

@@ -125,3 +125,36 @@ def test_plugins_over_the_wire(grid):
     assert stats.transferred_bytes < file.size / 4
     sub = decode(grid.client_fs.stat("tropics.nc").content)
     assert float(np.abs(sub.coords["lat"]).max()) <= 15.0
+
+
+def test_eret_surfaces_programming_errors(grid, monkeypatch):
+    """A bug inside the flat-file decode fails the RETR loudly; it is
+    never reported as a "not an SDBF file" plug-in error."""
+    import repro.gridftp.plugins as plugins
+
+    def broken_decode(blob):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(plugins, "decode", broken_decode)
+    install_standard_plugins(grid.server)
+    file, _ = sdbf_file()
+    grid.server_fs.store(file)
+
+    def main():
+        session = yield from grid.client.connect(grid.client_host,
+                                                 "srv.lbl.gov")
+        yield from session.get("year.nc", grid.client_fs, grid.client_host,
+                               dest_name="tas.nc", eret="extract",
+                               eret_args={"variable": "tas"})
+
+    with pytest.raises(TypeError, match="injected bug"):
+        grid.run_process(main())
+
+
+def test_corrupt_flat_file_is_a_plugin_error():
+    """A flat file whose payload is shorter than its header declares is
+    a format problem, reported as a plug-in error."""
+    file, _ = sdbf_file()
+    short = FileObject("short.nc", file.size - 8, file.content[:-8])
+    with pytest.raises(PluginError, match="truncated"):
+        extract_variable_plugin(short, {"variable": "tas"})

@@ -332,3 +332,39 @@ def test_abort_vs_completion_knife_edge():
     flow.done.defuse()
     env.run()
     assert flow.finished_at == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scope_matches_brute_force_closure(seed):
+    """The recompute scope is exactly the connected closure of the
+    dirty flows and links, on random overlapping paths."""
+    rng = np.random.default_rng(seed)
+    topo = Topology()
+    for i in range(30):
+        topo.duplex_link(f"n{i}", f"n{(i + 1) % 30}", mbps(100), 0.001)
+    links = list(topo.links.values())
+    env = Environment(seed=seed)
+    net = FluidNetwork(env, topo)
+    flows = []
+    for i in range(30):
+        path = [links[k] for k in rng.choice(len(links),
+                                             size=int(rng.integers(1, 4)),
+                                             replace=False)]
+        flows.append(net.transfer("n0", "n1", 1e6, name=f"f{i}",
+                                  path=path))
+    for _ in range(20):
+        net._dirty_flows = {flows[k] for k in rng.choice(
+            len(flows), size=int(rng.integers(0, 3)), replace=False)}
+        net._dirty_links = {links[k] for k in rng.choice(
+            len(links), size=int(rng.integers(0, 2)), replace=False)}
+        closure = set(net._dirty_flows)
+        for link in net._dirty_links:
+            closure |= link._flows
+        while True:
+            grown = closure | {g for f in closure for link in f.path
+                               for g in link._flows}
+            if grown == closure:
+                break
+            closure = grown
+        assert ([f.id for f in net._scope(env.now)]
+                == sorted(f.id for f in closure))
