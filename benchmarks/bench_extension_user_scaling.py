@@ -9,15 +9,14 @@ independent ``add_client`` user sites and shows catalog load scaling
 linearly while per-user makespan degrades sublinearly.
 
 ``test_fleet_scaling_sweep`` pushes the fleet-construction fast path —
-``add_fleet`` PoP grouping, the calendar-queue kernel, and fluid flow
-aggregation — through n = 10² to 10⁴ users (10⁵ with
-``REPRO_USER_SCALING_FULL=1``), recording wall time, events/sec, and
-peak RSS per row to ``BENCH_user_scaling.json`` at the repo root. A
-heap-kernel/exact-flow baseline at the same n anchors the speedup
-claim (>= 10x events/sec at n >= 10³), and
-``test_fleet_aggregation_differential`` proves the aggregate fluid
-model agrees with the exact per-flow model (per-user makespans within
-1% at n = 48) and that both kernel backends replay bit-identically.
+``add_fleet`` PoP grouping and fluid flow aggregation — through
+n = 10² to 10⁴ users (10⁵ with ``REPRO_USER_SCALING_FULL=1``),
+recording wall time, events/sec, and peak RSS per row to
+``BENCH_user_scaling.json`` at the repo root. An exact-flow baseline
+at n = 10⁴ anchors what aggregation buys (exact/aggregate wall ratio
+>= ``AGG_SPEEDUP_FLOOR``), and ``test_fleet_aggregation_differential``
+proves the aggregate fluid model agrees with the exact per-flow model
+(per-user makespans within 1% at n = 48).
 
 Env knobs for CI smoke: ``REPRO_USER_SCALING_COUNTS=100,1000``
 (comma-separated sweep), ``REPRO_USER_SCALING_WALL_GATE=240`` (seconds
@@ -40,7 +39,14 @@ SIZE = 24 * 2**20
 
 FLEET_SIZE = 8 * 2**20      # bytes per user in the fleet sweep
 FLEET_SWEEP = (100, 1000, 2000, 10000)
-BASELINE_N = 2000           # heap/exact anchor for the speedup gate
+BASELINE_N = 10_000         # exact-flow anchor for the aggregation gate
+# Floor on the exact/aggregate wall ratio at BASELINE_N. Six alternating
+# exact/aggregate pairs (fresh process per run, seed 31, shared 2-core
+# x86-64 host, Python 3.11) gave ratios 1.24-1.64: lower quartile 1.36,
+# IQR 0.19. The floor is the lower quartile minus one IQR, rounded down
+# to 0.05, so a single run fails only when aggregation stops paying for
+# itself, not on host noise.
+AGG_SPEEDUP_FLOOR = 1.15
 USERS_PER_POP = 64
 AGG_THRESHOLD = 2
 OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_user_scaling.json"
@@ -102,7 +108,7 @@ def test_user_scaling(benchmark, show):
     assert results[48]["catalog_ops"] >= 3 * results[12]["catalog_ops"]
 
 
-# -- fleet fast path (calendar kernel + flow aggregation) ---------------------
+# -- fleet fast path (PoP grouping + flow aggregation) -----------------------
 
 def _sweep():
     env_counts = os.environ.get("REPRO_USER_SCALING_COUNTS")
@@ -123,13 +129,11 @@ def _rss_mib():
     return current, peak
 
 
-def pop_fleet_run(n_users: int, kernel: str = "calendar",
-                  aggregation=AGG_THRESHOLD, seed: int = 31,
+def pop_fleet_run(n_users: int, aggregation=AGG_THRESHOLD, seed: int = 31,
                   size: int = FLEET_SIZE):
     """One PoP-grouped fleet request wave; every user pulls one file."""
     tb = EsgTestbed(seed=seed, file_size_override=size, with_tape=False,
-                    kernel_queue=kernel, aggregation_threshold=aggregation,
-                    log_capacity=4096)
+                    aggregation_threshold=aggregation, log_capacity=4096)
     tb.warm_nws(90.0)
     rms = tb.add_fleet(n_users, users_per_pop=USERS_PER_POP,
                        config=fleet_config())
@@ -147,7 +151,6 @@ def pop_fleet_run(n_users: int, kernel: str = "calendar",
     rss_now, rss_peak = _rss_mib()
     return {
         "users": n_users,
-        "kernel": kernel,
         "aggregation": aggregation,
         "wall_s": round(wall, 2),
         "events": stats["events_dispatched"],
@@ -165,19 +168,13 @@ def pop_fleet_run(n_users: int, kernel: str = "calendar",
 def test_fleet_aggregation_differential(benchmark, show):
     """Aggregate fluid classes must reproduce the exact per-flow model.
 
-    At n = 48 the run is cheap enough to do three times: calendar
-    kernel with aggregation, calendar kernel exact, and heap kernel
-    exact. Per-user makespans must agree within 1% between aggregate
-    and exact, and the two kernel backends must replay the exact run
-    bit-identically.
+    At n = 48 the run is cheap enough to do twice, with and without
+    aggregation; per-user makespans must agree within 1%.
     """
     def run():
-        agg = pop_fleet_run(48, kernel="calendar")
-        exact = pop_fleet_run(48, kernel="calendar", aggregation=None)
-        heap = pop_fleet_run(48, kernel="heap", aggregation=None)
-        return agg, exact, heap
+        return pop_fleet_run(48), pop_fleet_run(48, aggregation=None)
 
-    agg, exact, heap = run_once(benchmark, run)
+    agg, exact = run_once(benchmark, run)
     assert agg["aggregates"] > 0, "aggregation never engaged at n=48"
     worst = 0.0
     for m_agg, m_exact in zip(agg["makespans"], exact["makespans"]):
@@ -186,14 +183,9 @@ def test_fleet_aggregation_differential(benchmark, show):
         assert delta <= 0.01, (
             f"aggregate makespan {m_agg:.3f}s vs exact {m_exact:.3f}s "
             f"({delta * 100:.2f}% off)")
-    # Kernel backends are interchangeable to the last bit.
-    assert heap["makespans"] == exact["makespans"]
-    assert heap["events"] == exact["events"]
     show()
     show("=== Aggregation differential (n=48) ===")
     show(f"  worst per-user makespan delta: {worst * 100:.4f}%")
-    show(f"  heap vs calendar exact replay: bit-identical "
-         f"({exact['events']} events)")
     record(benchmark, worst_delta_pct=round(worst * 100, 4),
            aggregates=agg["aggregates"])
 
@@ -205,20 +197,18 @@ def test_fleet_scaling_sweep(benchmark, show):
     def run():
         rows = [pop_fleet_run(n) for n in counts]
         baseline_n = min(BASELINE_N, max(counts))
-        baseline = pop_fleet_run(baseline_n, kernel="heap",
-                                 aggregation=None)
+        baseline = pop_fleet_run(baseline_n, aggregation=None)
         return rows, baseline
 
     rows, baseline = run_once(benchmark, run)
     show()
     show(f"=== Fleet scaling: 1 x {FLEET_SIZE // 2**20} MiB per user, "
          f"{USERS_PER_POP} users/PoP ===")
-    show(f"  {'users':>7} {'kernel':>9} {'wall(s)':>8} {'events':>9} "
+    show(f"  {'users':>7} {'flows':>6} {'wall(s)':>8} {'events':>9} "
          f"{'ev/s':>7} {'mean mk(s)':>10} {'RSS MiB':>8}")
     for r in rows + [baseline]:
-        label = (f"{r['kernel'][:4]}"
-                 f"{'+agg' if r['aggregation'] else '/exact'}")
-        show(f"  {r['users']:>7} {label:>9} {r['wall_s']:>8.2f} "
+        label = "agg" if r["aggregation"] else "exact"
+        show(f"  {r['users']:>7} {label:>6} {r['wall_s']:>8.2f} "
              f"{r['events']:>9} {r['events_per_s']:>7} "
              f"{r['mean_makespan_s']:>10.1f} {r['rss_mib']:>8.1f}")
 
@@ -230,7 +220,7 @@ def test_fleet_scaling_sweep(benchmark, show):
             "bytes_per_user": FLEET_SIZE,
             "users_per_pop": USERS_PER_POP,
             "aggregation_threshold": AGG_THRESHOLD,
-            "baseline": f"queue=heap, exact flows, n={baseline['users']}",
+            "baseline": f"exact flows, n={baseline['users']}",
         },
         "rows": [strip(r) for r in rows],
         "baseline": strip(baseline),
@@ -239,20 +229,17 @@ def test_fleet_scaling_sweep(benchmark, show):
            baseline=strip(baseline))
 
     by_n = {r["users"]: r for r in rows}
-    # The fast path must hold >= 10x the baseline's events/sec at fleet
-    # scale (n >= 10^3): the calendar queue keeps dispatch O(1) and
-    # aggregation keeps the allocator out of the O(flows) regime.
-    # Prefer the row at the baseline's own n (identical workload);
-    # fall back to the best comparable row on reduced CI sweeps.
-    peer = by_n.get(baseline["users"])
-    comparable = [peer] if peer else [
-        r for r in rows if r["users"] >= 1000]
-    if comparable and baseline["users"] >= BASELINE_N:
-        fast = max(r["events_per_s"] for r in comparable)
-        floor = 10 * baseline["events_per_s"]
-        assert fast >= floor, (
-            f"fast path {fast} ev/s < 10x baseline "
-            f"{baseline['events_per_s']} ev/s")
+    # Aggregation must keep paying for itself at fleet scale: the same
+    # n = 10^4 wave through exact per-flow fluid must take at least
+    # AGG_SPEEDUP_FLOOR times the aggregated wall time.
+    peer = by_n.get(BASELINE_N)
+    if peer and baseline["users"] == BASELINE_N:
+        ratio = baseline["wall_s"] / peer["wall_s"]
+        show(f"  exact/aggregate wall ratio at n={BASELINE_N}: "
+             f"{ratio:.2f} (floor {AGG_SPEEDUP_FLOOR})")
+        assert ratio >= AGG_SPEEDUP_FLOOR, (
+            f"aggregation buys {ratio:.2f}x at n={BASELINE_N} "
+            f"< {AGG_SPEEDUP_FLOOR}x floor")
     # Bounded wall time at n = 10^4 — the headline scaling claim.
     if wall_gate and 10_000 in by_n:
         assert by_n[10_000]["wall_s"] <= wall_gate, (

@@ -417,6 +417,9 @@ class FaultInjector:
         self._fault_end(fault, span)
 
     def _run_corrupt_replica_fault(self, fault: Fault):
+        # Imported here: repro.gridftp imports repro.net at load time.
+        from repro.gridftp.protocol import GridFtpError
+
         server = self.servers[fault.target]
         if fault.start > 0:
             yield self.env.timeout(fault.start)
@@ -426,7 +429,7 @@ class FaultInjector:
         tag = f"at-rest@{self.env.now:.0f}"
         try:
             server.corrupt_file(fault.path, tag=tag)
-        except Exception as exc:
+        except GridFtpError as exc:
             # The file may have been deleted/moved since the schedule
             # was written; a miss must not kill the simulation.
             self.log.append((self.env.now, "replica corrupt skipped",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.net.dns import NameService
+from repro.net.dns import DnsError, NameService
 from repro.net.fluid import Flow, FlowError, FluidNetwork
 from repro.net.recorder import RateRecorder
 from repro.net.tcp import TcpParams, TcpStream
@@ -152,7 +152,7 @@ class Transport:
         if self.name_service is not None and dst in self.name_service:
             try:
                 dst_node = yield from self.name_service.resolve(dst)
-            except Exception as exc:
+            except DnsError as exc:
                 raise ConnectionRefused(str(exc)) from exc
         try:
             path = topo.path(src, dst_node)

@@ -160,9 +160,6 @@ class EsgTestbed:
         idle drive time.
     tape_drives:
         Number of tape drives in the PDSF library (default 2).
-    kernel_queue:
-        Event-queue backend for the simulation kernel: ``"calendar"``
-        (default) or ``"heap"`` (the differential-testing baseline).
     aggregation_threshold:
         Passed to :class:`~repro.net.fluid.FluidNetwork`: paths already
         carrying this many flows aggregate further same-path transfers
@@ -194,11 +191,10 @@ class EsgTestbed:
                  tape_policy: str = "batch",
                  hrm_prefetch: bool = True,
                  tape_drives: int = 2,
-                 kernel_queue: str = "calendar",
                  aggregation_threshold: Optional[int] = None,
                  sdbf_chunks=None,
                  derived_cache_bytes: float = 64 * 2**20):
-        self.env = Environment(seed=seed, queue=kernel_queue)
+        self.env = Environment(seed=seed)
         env = self.env
         self.grid = grid or GridSpec(nlat=32, nlon=64, months=12)
         self.topology = Topology("esg")

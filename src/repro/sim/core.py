@@ -1,43 +1,20 @@
 """The simulation environment: clock + event queue + scheduler.
 
-Two queue backends share the ``schedule`` / ``cancel`` / ``step`` /
-``run`` API and produce *identical* dispatch order (time, then
-priority, then schedule sequence):
-
-- ``queue="calendar"`` (default) — a slotted calendar queue: events are
-  binned into fixed-width time buckets held in a dict, with a small heap
-  of populated bucket indices. The current bucket is filtered of
-  cancelled entries and sorted *once*, then consumed by a position
-  pointer (batched same-instant dispatch); arrivals landing in the
-  already-open bucket (typically zero-delay wakeups) go to a small
-  overflow heap that is merged at the head by exact key comparison.
-  Scheduling into a future bucket allocates no per-event tuple — the
-  sort key lives in ``Event.__slots__`` — and cancellation is O(1): the
-  entry is skipped when it reaches the head, never compacted.
-- ``queue="heap"`` — the original binary heap of
-  ``(time, priority, seq, event)`` tuples, retained for differential
-  testing. Cancellation marks the event and compacts only when
-  cancelled entries outnumber live ones 2:1, so a mass cancellation of
-  n events triggers at most O(log n) heapify passes.
+Events wait in one binary heap of ``(time, priority, seq, event)``
+tuples, so dispatch order is time, then priority, then schedule
+sequence — a pure function of the run. Cancellation flags the event
+and leaves its entry to be skipped at the head or swept by an
+amortized compaction (see :meth:`Environment.cancel`).
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import attrgetter
 from typing import Any, Callable, Generator, Optional, Union
 
 from repro.sim.events import AllOf, AnyOf, Event, EventPriority, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
-
-_SORT_KEY = attrgetter("_t", "_prio", "_seq")
-
-#: Default calendar-bucket width (simulated seconds). Wide enough that
-#: bursty same-instant traffic lands in one bucket (one sort, pointer
-#: consumption), narrow enough that a bucket rarely mixes events from
-#: far-apart instants.
-DEFAULT_BUCKET_WIDTH = 0.25
 
 
 class SimulationError(RuntimeError):
@@ -79,12 +56,6 @@ class Environment:
         Starting value of the simulated clock (seconds).
     seed:
         Seed for the environment's named random streams (``env.rng``).
-    queue:
-        Event-queue backend: ``"calendar"`` (default) or ``"heap"``.
-        Both dispatch in exactly the same order; the heap is kept for
-        differential testing.
-    bucket_width:
-        Calendar-bucket width in simulated seconds (calendar mode only).
 
     Example
     -------
@@ -98,18 +69,11 @@ class Environment:
     5
     """
 
-    def __init__(self, initial_time: float = 0.0, seed: int = 0,
-                 queue: str = "calendar",
-                 bucket_width: float = DEFAULT_BUCKET_WIDTH):
-        if queue not in ("calendar", "heap"):
-            raise ValueError(f"unknown queue backend {queue!r}")
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be > 0, got {bucket_width!r}")
+    def __init__(self, initial_time: float = 0.0, seed: int = 0):
         self._now = float(initial_time)
-        self.queue_kind = queue
-        self._use_heap = queue == "heap"
+        self._queue: list = []  # (time, priority, seq, event)
         self._seq = 0
-        # Cancelled entries still resident in the queue structures.
+        # Cancelled entries still resident in the heap.
         self._n_cancelled = 0
         # Live (scheduled, not yet dispatched or cancelled) events.
         self._n_live = 0
@@ -118,18 +82,6 @@ class Environment:
         self._n_dispatched = 0
         self._n_cancel_calls = 0
         self._n_compactions = 0
-        if self._use_heap:
-            self._queue: list = []  # (time, priority, seq, event)
-        else:
-            self._t0 = self._now
-            self._inv_width = 1.0 / float(bucket_width)
-            self._slots: dict = {}      # bucket index -> unsorted [Event]
-            self._slot_heap: list = []  # populated bucket indices
-            self._cur_slot = -1         # index of the bucket open in _ready
-            self._ready: list = []      # current bucket, sorted, live prefix
-            self._ready_pos = 0
-            self._overflow: list = []   # (time, prio, seq, event) in cur slot
-            self._head_in_overflow = False
         self.rng = RandomStreams(seed)
         self._active_process: Optional[Process] = None
         self._id_counters: dict = {}
@@ -187,23 +139,7 @@ class Environment:
         self._n_live += 1
         t = self._now + delay
         event._t = t
-        event._prio = int(priority)
-        event._seq = self._seq
-        if self._use_heap:
-            heapq.heappush(self._queue, (t, event._prio, self._seq, event))
-            return
-        slot = int((t - self._t0) * self._inv_width)
-        if slot <= self._cur_slot:
-            # Lands in (or before) the bucket already open for dispatch:
-            # merge at the head through the overflow heap.
-            heapq.heappush(self._overflow, (t, event._prio, self._seq, event))
-            return
-        bucket = self._slots.get(slot)
-        if bucket is None:
-            self._slots[slot] = [event]
-            heapq.heappush(self._slot_heap, slot)
-        else:
-            bucket.append(event)
+        heapq.heappush(self._queue, (t, int(priority), self._seq, event))
 
     def schedule_callback(self, fn: Callable[[Event], None], event: Event) -> None:
         """Schedule ``fn(event)`` to run at the current time."""
@@ -213,13 +149,12 @@ class Environment:
         """Remove a scheduled event; its callbacks will never run.
 
         Cancellation is O(1): the entry is marked and skipped when it
-        reaches the queue head. To bound memory (not correctness), the
-        backing store is swept of dead entries only once cancelled
-        entries outnumber live ones 2:1 past a 64-entry watermark —
-        each sweep removes at least two thirds of the residents, so a
-        mass cancellation of n events triggers at most O(log n) sweeps
-        (heapify passes in heap mode, plain bucket filters in calendar
-        mode).
+        reaches the heap head. To bound memory (not correctness), the
+        heap is swept of dead entries only once cancelled entries
+        outnumber live ones 2:1 past a 64-entry watermark — each sweep
+        removes at least two thirds of the residents, so a mass
+        cancellation of n events triggers at most O(log n) heapify
+        passes.
         """
         if event._processed or event._cancelled:
             return
@@ -230,94 +165,26 @@ class Environment:
         self._n_cancelled += 1
         self._n_live -= 1
         if self._n_cancelled > 64 and self._n_cancelled > 2 * self._n_live:
-            if self._use_heap:
-                self._queue = [entry for entry in self._queue
-                               if not entry[3]._cancelled]
-                heapq.heapify(self._queue)
-            else:
-                self._compact_calendar()
+            self._queue = [entry for entry in self._queue
+                           if not entry[3]._cancelled]
+            heapq.heapify(self._queue)
             self._n_cancelled = 0
             self._n_compactions += 1
-
-    def _compact_calendar(self) -> None:
-        """Sweep cancelled entries out of the calendar structures.
-
-        No heapify over events is ever needed: buckets are unsorted
-        lists and the slot-index heap is left untouched — a bucket
-        emptied here leaves a stale index behind, skipped at advance.
-        """
-        self._ready = [e for e in self._ready[self._ready_pos:]
-                       if not e._cancelled]
-        self._ready_pos = 0
-        self._overflow = [entry for entry in self._overflow
-                          if not entry[3]._cancelled]
-        heapq.heapify(self._overflow)
-        for slot in list(self._slots):
-            bucket = [e for e in self._slots[slot] if not e._cancelled]
-            if bucket:
-                self._slots[slot] = bucket
-            else:
-                del self._slots[slot]
 
     # -- queue head ---------------------------------------------------------
     def _settle_head(self) -> Optional[Event]:
         """Return the next live event without consuming it, or None.
 
-        Discards cancelled entries on the way and, in calendar mode,
-        advances to the next populated bucket when the current one is
-        drained.
+        Pops cancelled entries off the head on the way.
         """
-        if self._use_heap:
-            q = self._queue
-            while q and q[0][3]._cancelled:
-                heapq.heappop(q)
-                self._n_cancelled -= 1
-            return q[0][3] if q else None
-        while True:
-            ready = self._ready
-            pos = self._ready_pos
-            n = len(ready)
-            while pos < n and ready[pos]._cancelled:
-                pos += 1
-                self._n_cancelled -= 1
-            self._ready_pos = pos
-            ov = self._overflow
-            while ov and ov[0][3]._cancelled:
-                heapq.heappop(ov)
-                self._n_cancelled -= 1
-            if pos < n:
-                ev = ready[pos]
-                if ov and ov[0][:3] < (ev._t, ev._prio, ev._seq):
-                    self._head_in_overflow = True
-                    return ov[0][3]
-                self._head_in_overflow = False
-                return ev
-            if ov:
-                self._head_in_overflow = True
-                return ov[0][3]
-            if not self._slot_heap:
-                return None
-            slot = heapq.heappop(self._slot_heap)
-            bucket = self._slots.pop(slot, None)
-            if bucket is None:
-                continue  # stale index left behind by a compaction sweep
-            live = [e for e in bucket if not e._cancelled]
-            self._n_cancelled -= len(bucket) - len(live)
-            live.sort(key=_SORT_KEY)
-            self._ready = live
-            self._ready_pos = 0
-            self._cur_slot = slot
-
-    def _consume_head(self) -> None:
-        if self._use_heap:
-            heapq.heappop(self._queue)
-        elif self._head_in_overflow:
-            heapq.heappop(self._overflow)
-        else:
-            self._ready_pos += 1
+        q = self._queue
+        while q and q[0][3]._cancelled:
+            heapq.heappop(q)
+            self._n_cancelled -= 1
+        return q[0][3] if q else None
 
     def _dispatch(self, event: Event) -> None:
-        self._consume_head()
+        heapq.heappop(self._queue)
         t = event._t
         if t > self._now:
             self._now = t
@@ -332,12 +199,10 @@ class Environment:
     def kernel_stats(self) -> dict:
         """Lifetime kernel counters for the stats surface.
 
-        ``queue_compactions`` counts heap-mode compaction (heapify)
-        passes; it stays 0 in calendar mode, where cancellation never
-        compacts.
+        ``queue_compactions`` counts the heapify passes that sweep
+        cancelled entries out of the heap.
         """
         return {
-            "queue": self.queue_kind,
             "events_scheduled": self._n_scheduled,
             "events_dispatched": self._n_dispatched,
             "events_cancelled": self._n_cancel_calls,
@@ -350,16 +215,12 @@ class Environment:
         return self._n_live
 
     def queue_depth(self) -> int:
-        """Entries physically resident in the queue (live + cancelled).
+        """Entries physically resident in the heap (live + cancelled).
 
-        O(#populated buckets) in calendar mode; for tests asserting that
-        cancelled timers cannot pile up over long runs.
+        For tests asserting that cancelled timers cannot pile up over
+        long runs.
         """
-        if self._use_heap:
-            return len(self._queue)
-        return (len(self._ready) - self._ready_pos
-                + len(self._overflow)
-                + sum(len(b) for b in self._slots.values()))
+        return len(self._queue)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the queue is empty."""

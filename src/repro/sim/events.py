@@ -59,10 +59,8 @@ class Event:
 
     __slots__ = ("env", "callbacks", "_value", "_exc", "_triggered",
                  "_processed", "_defused", "_cancelled",
-                 # Queue sort key, written by Environment.schedule: the
-                 # calendar backend keys buckets on these slots instead
-                 # of allocating a (t, prio, seq, event) tuple per event.
-                 "_t", "_prio", "_seq")
+                 # Dispatch time, written by Environment.schedule.
+                 "_t")
 
     def __init__(self, env: "Environment"):
         self.env = env

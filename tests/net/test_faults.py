@@ -397,18 +397,53 @@ def test_corrupt_replica_marks_file_at_rest():
     assert file_digest(server.file) != clean
 
 
+def gridftp_server(env, topo):
+    from repro.gridftp import GridFtpServer
+    from repro.hosts import CpuModel, DiskArray, DiskSpec, Host, HostSpec
+    from repro.storage import FileSystem
+
+    spec = HostSpec(nic_rate=mbps(1000), bus_rate=None,
+                    cpu=CpuModel(coalesce=8),
+                    disk=DiskArray(DiskSpec(rate=60 * 2**20), count=4))
+    host = Host(topo, "gridftp.x.gov", site="X", spec=spec)
+    return GridFtpServer(env, host, FileSystem(env, "fs"))
+
+
 def test_corrupt_replica_missing_file_is_skipped_not_fatal():
+    """A path deleted after the schedule was written is a logged skip:
+    the server's 'no such file' reply must not kill the injector."""
     env, topo, net, ns = fixture()
-
-    class FakeServer:
-        def corrupt_file(self, path, tag="at-rest"):
-            raise KeyError(path)
-
+    server = gridftp_server(env, topo)
+    server.fs.create("gone.nc", 100)
+    server.fs.delete("gone.nc")
     inj = FaultInjector(env, net, ns,
-                        servers={"gridftp.x.gov": FakeServer()})
+                        servers={"gridftp.x.gov": server})
     inj.install(FaultSchedule().corrupt_replica(
-        "gridftp.x.gov", "absent.nc", 1.0, 1.0))
+        "gridftp.x.gov", "gone.nc", 1.0, 1.0))
     env.run(until=5.0)  # must not raise out of the injector process
+    assert [action for _, action, _ in inj.log
+            if action.startswith("replica")] == ["replica corrupt skipped"]
+
+
+def test_corrupt_replica_programming_error_propagates(monkeypatch):
+    """Only a missing file is skipped: a bug inside ``corrupt_file``
+    must fail the run loudly instead of being logged as a miss."""
+    env, topo, net, ns = fixture()
+    server = gridftp_server(env, topo)
+    server.fs.create("f.nc", 100)
+
+    def broken(path, tag="at-rest"):
+        raise TypeError("bug in corrupt_file")
+
+    monkeypatch.setattr(server, "corrupt_file", broken)
+    inj = FaultInjector(env, net, ns,
+                        servers={"gridftp.x.gov": server})
+    inj.install(FaultSchedule().corrupt_replica(
+        "gridftp.x.gov", "f.nc", 1.0, 1.0))
+    with pytest.raises(TypeError, match="bug in corrupt_file"):
+        env.run(until=5.0)
+    assert not any(action == "replica corrupt skipped"
+                   for _, action, _ in inj.log)
 
 
 def test_truncate_stage_toggles_hrm_flag():

@@ -168,6 +168,27 @@ def test_dns_outage_refuses_connection():
     assert ns.failures == 1
 
 
+def test_resolver_bug_propagates_instead_of_refusing(monkeypatch):
+    """Only a failed lookup (DnsError) becomes a retried
+    ConnectionRefused; a programming error inside ``resolve`` must
+    reach the caller unchanged."""
+    env, topo, net, ns, tr = fixture()
+
+    def broken(hostname):
+        raise TypeError("bug in resolve")
+        yield  # pragma: no cover - makes this a generator
+
+    monkeypatch.setattr(ns, "resolve", broken)
+
+    def main(env):
+        with pytest.raises(TypeError, match="bug in resolve"):
+            yield from tr.connect("A", "b.host")
+        yield env.timeout(0)
+
+    env.process(main(env))
+    env.run()
+
+
 def test_connect_over_dead_path_times_out_then_refused():
     env, topo, net, ns, tr = fixture()
     topo.links["A<->B:fwd"].set_down()
