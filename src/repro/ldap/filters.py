@@ -104,13 +104,19 @@ def _values(attrs: Attrs, attr: str) -> List[str]:
 
 def _make_and(preds):
     def pred(attrs: Attrs) -> bool:
-        return all(p(attrs) for p in preds)
+        for p in preds:
+            if not p(attrs):
+                return False
+        return True
     return pred
 
 
 def _make_or(preds):
     def pred(attrs: Attrs) -> bool:
-        return any(p(attrs) for p in preds)
+        for p in preds:
+            if p(attrs):
+                return True
+        return False
     return pred
 
 
@@ -124,7 +130,10 @@ def _make_equality(attr: str, value: str) -> Predicate:
     target = value.lower()
 
     def pred(attrs: Attrs) -> bool:
-        return any(v.lower() == target for v in _values(attrs, attr))
+        for v in attrs.get(attr, ()):
+            if v.lower() == target:
+                return True
+        return False
     return pred
 
 

@@ -25,7 +25,21 @@ the disturbance, not the network.
   heap (lazily invalidated by a per-flow version stamp); exactly one
   simulator timer is kept pending, and it is only rescheduled when the
   earliest completion instant actually changes. Cap churn therefore no
-  longer piles superseded timers into the event queue.
+  longer piles superseded timers into the event queue. Superseded heap
+  entries are swept once they outnumber live ones 2:1.
+- **Route grouping and link collapse** — one fill groups its flows by
+  route (``Topology.path`` caches one list per (src, dst), so the list
+  names the route) and keeps a single constraint per distinct set of
+  routes: of the links those routes all cross, only the one with least
+  capacity. Such links carry the same users and take the same
+  decrements, and float subtraction is monotone, so the kept link
+  always holds the smallest residual and saturates first; the filling
+  is bit-identical to scanning every link. Each connected component of
+  the scope is then filled on its own, so the number of rounds follows
+  one component's distinct freeze levels and a component's rates do
+  not depend on what else was dirty at the same instant (filling
+  several components in one pass interleaves their freeze levels into
+  shared rounds, which can move a rate by an ulp).
 
 ``FluidNetwork(mode="reference")`` keeps the original semantics — a
 full-network synchronous recompute on every mutation — as the trusted
@@ -60,6 +74,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.net.recorder import RateRecorder
@@ -69,6 +84,7 @@ from repro.sim.events import Event, EventPriority
 
 _EPS_BYTES = 1e-3
 _EPS_RATE = 1e-9
+_flow_id = attrgetter("id")
 
 
 class FlowError(Exception):
@@ -695,7 +711,7 @@ class FluidNetwork:
         heap = self._completion_heap
         while heap:
             t, version, _fid, flow, _made_at, _rel = heap[0]
-            if not flow.active or version != flow._pred_version:
+            if version != flow._pred_version or not flow.active:
                 heapq.heappop(heap)  # stale entry
                 continue
             if t > now:
@@ -712,6 +728,7 @@ class FluidNetwork:
             return list(self._flow_map.values())
         scope: Set[Flow] = set()
         expanded: Set[Link] = set(self._dirty_links)
+        routes: Set[int] = set()
         stack = [f for f in self._dirty_flows if f.active]
         for link in expanded:
             stack.extend(link._flows)
@@ -720,13 +737,18 @@ class FluidNetwork:
             if f in scope:
                 continue
             scope.add(f)
+            # Each link's flows enter the closure once, not once per
+            # flow that crosses it; a route (one cached path list) is
+            # walked once, not once per flow on it.
+            route = id(f.path)
+            if route in routes:
+                continue
+            routes.add(route)
             for link in f.path:
-                # Each link's flows enter the closure once, not once per
-                # flow that crosses it.
                 if link not in expanded:
                     expanded.add(link)
                     stack.extend(link._flows)
-        return sorted(scope, key=lambda f: f.id)
+        return sorted(scope, key=_flow_id)
 
     def _flush_now(self) -> None:
         """Apply due completions and recompute every dirty component."""
@@ -760,70 +782,36 @@ class FluidNetwork:
 
         ``flows`` must be closed under link sharing (a union of whole
         components); links outside it carry none of its traffic, so each
-        involved link's full capacity belongs to this subproblem.
+        involved link's full capacity belongs to this subproblem. Each
+        connected component is filled on its own, over one constraint
+        per distinct set of routes (see the module docstring).
         """
         self.reallocations += 1
         rates: Dict[Flow, float] = dict.fromkeys(flows, 0.0)
-        residual: Dict[Link, float] = {}
-        link_unfrozen: Dict[Link, Set[Flow]] = {}
-        # An aggregate occupies one share per member so mixed
-        # exact/aggregate links converge to the exact allocation; for
-        # plain flows (_nshares == 1) the arithmetic below is
-        # bit-identical to the unweighted original.
-        link_shares: Dict[Link, int] = {}
+        # Group flows by route. Topology.path hands out one cached list
+        # per (src, dst), so the list's identity names the route. A flow
+        # with no links shares nothing and is a route of its own.
+        route_index: Dict[int, int] = {}
+        routes: List[List[Flow]] = []
         for f in flows:
-            for link in f.path:
-                if link not in residual:
-                    residual[link] = link.capacity
-                    link_unfrozen[link] = set()
-                    link_shares[link] = 0
-        unfrozen: Set[Flow] = set()
-        for f in flows:
-            # A flow through a dead link, or with a zero cap, stays at 0.
-            if f.cap <= _EPS_RATE or any(
-                    residual[l] <= _EPS_RATE for l in f.path):
-                continue
-            unfrozen.add(f)
-            for link in f.path:
-                link_unfrozen[link].add(f)
-                link_shares[link] += f._nshares
-        guard = 0
-        while unfrozen:
-            guard += 1
-            if guard > 10 * len(flows) + 10:  # pragma: no cover
-                raise RuntimeError("progressive filling failed to converge")
-            # Largest uniform per-share increment every unfrozen flow
-            # can take.
-            delta = math.inf
-            for link, users in link_unfrozen.items():
-                if users:
-                    delta = min(delta, residual[link] / link_shares[link])
-            for f in unfrozen:
-                delta = min(delta, (f.cap - rates[f]) / f._nshares)
-            if not math.isfinite(delta):
-                break  # only cap-unbounded flows on unconstrained links
-            delta = max(delta, 0.0)
-            for f in unfrozen:
-                rates[f] += delta * f._nshares
-            for link, users in link_unfrozen.items():
-                if users:
-                    residual[link] -= delta * link_shares[link]
-            # Freeze flows at their cap or on a saturated link.
-            newly_frozen: Set[Flow] = set()
-            for link, users in link_unfrozen.items():
-                if users and residual[link] <= _EPS_RATE:
-                    newly_frozen |= users
-            for f in unfrozen:
-                if rates[f] >= f.cap - _EPS_RATE:
-                    newly_frozen.add(f)
-            if not newly_frozen and delta <= _EPS_RATE:
-                # No progress possible (degenerate); freeze everything.
-                newly_frozen = set(unfrozen)
-            for f in newly_frozen:
-                unfrozen.discard(f)
-                for link in f.path:
-                    link_unfrozen[link].discard(f)
-                    link_shares[link] -= f._nshares
+            key = id(f.path) if f.path else id(f)
+            r = route_index.get(key)
+            if r is None:
+                route_index[key] = len(routes)
+                routes.append([f])
+            else:
+                routes[r].append(f)
+        if len(routes) == 1:
+            # Every link carries the whole scope: one constraint.
+            path = routes[0][0].path
+            if path:
+                _progressive_fill(
+                    routes, [[0]],
+                    [min(link.capacity for link in path)], [(0,)], rates)
+            else:
+                _progressive_fill(routes, [[]], [], [], rates)
+        else:
+            _fill_components(routes, rates)
         heap = self._completion_heap
         for f in flows:
             f.rate = rates[f]
@@ -838,6 +826,16 @@ class FluidNetwork:
                 rel = f._remaining / f.rate
                 heapq.heappush(heap, (now + rel, f._pred_version, f.id,
                                       f, now, rel))
+        # Every fill supersedes the scope's older predictions. Sweep the
+        # stale entries once they outnumber the live ones (at most one
+        # per active flow) 2:1 past a 64-entry watermark, as the kernel
+        # does with cancelled events; the heap order is total, so the
+        # sweep changes nothing that is popped.
+        if len(heap) > 64 and len(heap) > 3 * len(self._flow_map):
+            heap = [e for e in heap
+                    if e[1] == e[3]._pred_version and e[3].active]
+            heapq.heapify(heap)
+            self._completion_heap = heap
 
     def _reschedule_timer(self, now: float) -> None:
         """Keep exactly one simulator timer pending, at the earliest valid
@@ -846,7 +844,7 @@ class FluidNetwork:
         heap = self._completion_heap
         while heap:
             t, version, _fid, flow, _made_at, _rel = heap[0]
-            if not flow.active or version != flow._pred_version:
+            if version != flow._pred_version or not flow.active:
                 heapq.heappop(heap)
                 continue
             break
@@ -875,3 +873,154 @@ class FluidNetwork:
             self._flush_now()
 
         timer.add_callback(_fire)
+
+
+def _fill_components(routes: List[List[Flow]],
+                     rates: Dict[Flow, float]) -> None:
+    """Fill flows grouped by route, one connected component at a time.
+
+    Routes that share a link are joined (union-find over route
+    indices). Links crossed by the same set of routes carry the same
+    users and take the same decrements, and float subtraction is
+    monotone, so the one with least capacity always has the smallest
+    residual: it alone can bind the increment, and it saturates first.
+    Each set of routes therefore keeps one constraint, its tightest
+    link.
+    """
+    crossing: Dict[Link, List[int]] = {}
+    parent = list(range(len(routes)))
+    for r, group in enumerate(routes):
+        for link in group[0].path:
+            users = crossing.get(link)
+            if users is None:
+                crossing[link] = [r]
+                continue
+            users.append(r)
+            a, b = users[0], r
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                parent[b], b = a, parent[b]
+            parent[b] = a
+    tightest: Dict[tuple, float] = {}
+    for link, users in crossing.items():
+        key = tuple(users)
+        cap = tightest.get(key)
+        if cap is None or link.capacity < cap:
+            tightest[key] = link.capacity
+    # Per component: its routes (global index -> local index, in route
+    # order) and constraints over local indices, as _progressive_fill
+    # takes them.
+    parts: Dict[int, tuple] = {}
+    for r in range(len(routes)):
+        root = r
+        while parent[root] != root:
+            root = parent[root]
+        part = parts.get(root)
+        if part is None:
+            part = parts[root] = ({}, [], [], [], [])
+        local, groups, route_constraints, _residual, _users = part
+        local[r] = len(groups)
+        groups.append(routes[r])
+        route_constraints.append([])
+    for users, cap in tightest.items():
+        root = users[0]
+        while parent[root] != root:
+            root = parent[root]
+        local, _groups, route_constraints, residual, part_users = \
+            parts[root]
+        k = len(residual)
+        residual.append(cap)
+        part_users.append(tuple(local[r] for r in users))
+        for r in users:
+            route_constraints[local[r]].append(k)
+    for _local, groups, route_constraints, residual, users in \
+            parts.values():
+        _progressive_fill(groups, route_constraints, residual, users,
+                          rates)
+
+
+def _progressive_fill(routes: List[List[Flow]],
+                      route_constraints: List[List[int]],
+                      residual: List[float], users: List[tuple],
+                      rates: Dict[Flow, float]) -> None:
+    """Fill one connected component into ``rates``.
+
+    ``routes`` lists the component's flows grouped by route, and
+    ``route_constraints[r]`` the constraints route ``r`` crosses.
+    Constraint ``k`` has capacity ``residual[k]`` (consumed in place)
+    and is crossed by the routes ``users[k]``. An aggregate occupies one
+    share per member so mixed exact/aggregate links converge to the
+    exact allocation; for plain flows (``_nshares == 1``) the arithmetic
+    is the unweighted original.
+    """
+    shares = [0] * len(residual)
+    # Unfrozen flows as (flow, route, its constraints, shares, cap), and
+    # the largest per-share increment their caps allow.
+    unfrozen = []
+    headroom = math.inf
+    for r, group in enumerate(routes):
+        cons = route_constraints[r]
+        for k in cons:
+            if residual[k] <= _EPS_RATE:
+                break  # a flow through a dead link stays at 0
+        else:
+            for f in group:
+                cap = f.cap
+                if cap <= _EPS_RATE:
+                    continue  # so does a flow with a zero cap
+                n = f._nshares
+                unfrozen.append((f, r, cons, n, cap))
+                for k in cons:
+                    shares[k] += n
+                d = cap / n
+                if d < headroom:
+                    headroom = d
+    live = [k for k, s in enumerate(shares) if s]  # constraints in use
+    limit = 10 * len(unfrozen) + 10
+    guard = 0
+    while unfrozen:
+        guard += 1
+        if guard > limit:  # pragma: no cover
+            raise RuntimeError("progressive filling failed to converge")
+        # Largest uniform per-share increment every unfrozen flow can
+        # take.
+        delta = headroom
+        for k in live:
+            d = residual[k] / shares[k]
+            if d < delta:
+                delta = d
+        if not math.isfinite(delta):
+            break  # only cap-unbounded flows on unconstrained links
+        if delta < 0.0:
+            delta = 0.0
+        saturated = ()
+        for k in live:
+            residual[k] -= delta * shares[k]
+            if residual[k] <= _EPS_RATE:
+                saturated = set(saturated).union(users[k])
+        # Raise every unfrozen flow; freeze those on a saturated
+        # constraint or at their cap.
+        still, frozen = [], []
+        headroom = math.inf
+        for item in unfrozen:
+            f, r, _cons, n, cap = item
+            rate = rates[f] + delta * n
+            rates[f] = rate
+            if r in saturated or rate >= cap - _EPS_RATE:
+                frozen.append(item)
+            else:
+                still.append(item)
+                d = (cap - rate) / n
+                if d < headroom:
+                    headroom = d
+        if not frozen:
+            if delta > _EPS_RATE:
+                continue
+            # No progress possible (degenerate); freeze everything.
+            still, frozen = [], still
+        for _f, _r, cons, n, _cap in frozen:
+            for k in cons:
+                shares[k] -= n
+        live = [k for k in live if shares[k]]
+        unfrozen = still

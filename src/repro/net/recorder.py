@@ -16,6 +16,7 @@ All computation is vectorized with numpy on the breakpoint arrays.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,11 +53,18 @@ class RateSeries:
         self.times = t
         self.rates = r
         self.t_end = float(t_end)
-        # Cumulative bytes at each breakpoint plus at t_end: piecewise
-        # linear; np.interp evaluates it anywhere.
-        seg = np.diff(np.append(t, t_end))
-        self._cum_t = np.append(t, t_end)
-        self._cum_b = np.concatenate(([0.0], np.cumsum(seg * r)))
+
+    # Cumulative bytes at each breakpoint plus at t_end: piecewise
+    # linear; np.interp evaluates it anywhere. Built on first use: most
+    # series (one per block transfer) are closed and never queried.
+    @cached_property
+    def _cum_t(self) -> np.ndarray:
+        return np.append(self.times, self.t_end)
+
+    @cached_property
+    def _cum_b(self) -> np.ndarray:
+        seg = np.diff(self._cum_t)
+        return np.concatenate(([0.0], np.cumsum(seg * self.rates)))
 
     # -- basic queries ---------------------------------------------------
     @property

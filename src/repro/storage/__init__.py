@@ -28,6 +28,7 @@ from repro.storage.filesystem import (
 )
 from repro.storage.cache import DiskCache
 from repro.storage.tape import (
+    NotOnTapeError,
     StageProgress,
     TapeDrive,
     TapeJob,
@@ -46,6 +47,7 @@ __all__ = [
     "HierarchicalResourceManager",
     "MassStorageSystem",
     "NoSpaceError",
+    "NotOnTapeError",
     "StageProgress",
     "StageRequest",
     "TapeDrive",

@@ -31,10 +31,10 @@ from repro.data.digest import add_mark
 from repro.obs import Observability
 from repro.sim.core import Environment
 from repro.sim.events import Event
-from repro.storage.filesystem import FileSystem
+from repro.storage.filesystem import FileSystem, NoSpaceError
 from repro.storage.hpss import MassStorageSystem
 from repro.storage.tape import PRIORITY_DEMAND, PRIORITY_PREFETCH, \
-    StageProgress
+    NotOnTapeError, StageProgress
 
 
 class StagingError(Exception):
@@ -189,7 +189,10 @@ class HierarchicalResourceManager:
                           else PRIORITY_DEMAND),
                 kind="prefetch" if req.prefetch else "demand",
                 progress=req.progress)
-        except Exception as exc:
+        except (NotOnTapeError, NoSpaceError) as exc:
+            # What retrieve raises by design: the file is not archived
+            # here, or the cache cannot admit it. Anything else is a bug
+            # and propagates.
             self._inflight.pop(req.name, None)
             if req.prefetch:
                 # Nobody is waiting: note it and move on.

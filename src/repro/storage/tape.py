@@ -48,6 +48,10 @@ PRIORITY_DEMAND = 0
 PRIORITY_PREFETCH = 1
 
 
+class NotOnTapeError(KeyError):
+    """A read named a file the library does not hold."""
+
+
 @dataclass(frozen=True)
 class TapeSpec:
     """Performance characteristics of the library's drives/cartridges.
@@ -260,7 +264,8 @@ class TapeLibrary:
         """Enqueue a read; returns the job (wait on ``job.done``)."""
         entry = self._catalog.get(name)
         if entry is None:
-            raise KeyError(f"{self.name}: no file {name!r} on tape")
+            raise NotOnTapeError(
+                f"{self.name}: no file {name!r} on tape")
         tape, position, file = entry
         return self._submit("read", name, tape, position, file,
                             priority, progress)

@@ -262,6 +262,42 @@ def test_event_queue_stays_bounded_under_cap_churn():
     assert peak < 150, f"event queue grew to {peak} entries"
 
 
+def test_completion_heap_stays_bounded_under_cap_churn():
+    """Every fill pushes one predicted completion per flow in scope and
+    supersedes the older ones. Stale predictions are swept once they
+    outnumber the live ones 2:1 past 64 entries, so flows that never
+    complete cannot grow the heap without bound."""
+    env = Environment()
+    topo = Topology()
+    for c in range(2):
+        for h in range(3):
+            topo.duplex_link(f"c{c}h{h}", f"c{c}core", mbps(1000), 0.001)
+    net = FluidNetwork(env, topo)
+    flows = [net.transfer(f"c{c}h{i % 3}", f"c{c}h{(i + 1) % 3}", 1e15,
+                          cap=mbps(20 + i))
+             for c in range(2) for i in range(6)]
+    for f in flows:
+        f.done.defuse()
+
+    def churner(env, flow, period):
+        k = 0
+        while True:
+            yield env.timeout(period)
+            k += 1
+            flow.set_cap(mbps(20 + (k % 2) * 100))
+
+    for i, f in enumerate(flows):
+        env.process(churner(env, f, 0.0146 + 1e-4 * (i % 5)))
+    peak = 0
+    for step in range(1, 81):
+        env.run(until=step * 0.1)
+        peak = max(peak, len(net._completion_heap))
+    assert net.reallocations > 2_000
+    # Unswept, this run leaves one entry per flow per fill: tens of
+    # thousands.
+    assert peak <= max(64, 3 * len(net.flows)), peak
+
+
 def test_steady_state_reschedules_nothing():
     """Recomputes that do not move the next completion instant must not
     create new simulator timers (hygiene for modulator/idle ticks)."""

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.obs import Observability
 from repro.sim import Environment
 from repro.storage import (
     FileObject,
     FileSystem,
     HierarchicalResourceManager,
     MassStorageSystem,
+    NotOnTapeError,
     TapeLibrary,
     TapeSpec,
 )
@@ -220,8 +222,31 @@ def test_hrm_already_staged_completes_immediately():
 def test_hrm_stage_failure_propagates():
     env, mss, serve_fs, hrm = hrm_fixture()
     req = hrm.request_stage("ghost")
-    with pytest.raises(KeyError):
+    with pytest.raises(NotOnTapeError):
         env.run(until=req.ready)
+    assert not hrm._inflight
+
+
+def test_hrm_retrieve_bug_propagates_instead_of_failing_the_stage(
+        monkeypatch):
+    """Only the errors retrieve raises by design fail a stage: a bug
+    inside it must stop the run, not become ``hrm.stage.failed``."""
+    env = Environment()
+    mss = MassStorageSystem(env, cache_capacity=500 * MB, drives=1)
+    obs = Observability.create(env)
+    hrm = HierarchicalResourceManager(env, mss, FileSystem(env, "hrm-disk"),
+                                      obs=obs)
+    mss.archive(FileObject("f", 14 * MB), tape="T1", position=0.0)
+
+    def broken(name, **kw):
+        raise TypeError("bug in retrieve")
+        yield  # pragma: no cover - makes this a generator
+
+    monkeypatch.setattr(mss, "retrieve", broken)
+    req = hrm.request_stage("f")
+    with pytest.raises(TypeError, match="bug in retrieve"):
+        env.run(until=req.ready)
+    assert not obs.logger.select(event="hrm.stage.failed")
 
 
 def test_hrm_estimate_wait():
